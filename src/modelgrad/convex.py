@@ -29,6 +29,8 @@ from .core import (
     Vector,
     as_vector,
     bregman_divergence,
+    checked_gradient,
+    checked_value,
 )
 
 __all__ = [
@@ -197,12 +199,14 @@ def convex_iterate(
 
     Halves the triple once, then alternates subproblem solves with
     acceptance tests, doubling the triple after each rejection.  Raises
-    ``NonTerminationError`` when ``cap`` trials pass without acceptance.
+    ``NonTerminationError`` when ``cap`` trials pass without acceptance and
+    ``NonFiniteOracleError`` at the first NaN or infinite value or gradient.
     """
     t = state.triple.halved()
     x_k = state.x
-    f_k = state.f_x
-    oracle.model_gradient_at(x_k)  # anchor the iteration's linear part
+    f_k = checked_value(state.f_x, state.k)
+    # anchor the iteration's linear part
+    checked_gradient(oracle.model_gradient_at(x_k), state.k)
     inner = 0
     while True:
         inner += 1
@@ -219,7 +223,7 @@ def convex_iterate(
         sq = float(np.dot(d, d))
         step = math.sqrt(sq)
         psi = oracle.model(x_next, x_k)
-        f_next = oracle.value_inexact(x_next)
+        f_next = checked_value(oracle.value_inexact(x_next), state.k)
         if f_next <= _acceptance_rhs(f_k, psi, t.L, 0.5 * sq, step, t.Delta, t.delta):
             break
         t = t.doubled()

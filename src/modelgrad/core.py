@@ -11,6 +11,7 @@ formulas (never by the adaptive loops themselves).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,12 +23,16 @@ _EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
     "Vector",
+    "all_finite",
     "as_vector",
+    "checked_gradient",
+    "checked_value",
     "DimensionMismatchError",
     "UnsupportedCombinationError",
     "CertificateUnavailableError",
     "InconsistentTraceError",
     "NonTerminationError",
+    "NonFiniteOracleError",
     "FeasibleSet",
     "ProxSetup",
     "AdaptiveTriple",
@@ -71,6 +76,47 @@ class NonTerminationError(RuntimeError):
         self.inner_calls = inner_calls
 
 
+class NonFiniteOracleError(ValueError):
+    """The oracle returned a NaN or infinite value or gradient.
+
+    ``quantity`` is ``"value"`` or ``"gradient"``; ``iteration`` is the
+    index of the solver iteration that received it.
+    """
+
+    def __init__(self, quantity: str, iteration: int):
+        super().__init__(f"oracle returned a non-finite {quantity} at iteration {iteration}")
+        self.quantity = quantity
+        self.iteration = iteration
+
+
+def all_finite(v: Vector) -> bool:
+    """Whether every entry of the 1-D float64 array ``v`` is finite.
+
+    One dot product settles the common case: a finite sum of squares means
+    every entry is finite.  A NaN, an infinity or a sum that overflows falls
+    through to the exact elementwise test.
+    """
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+
+
+def checked_value(f: float, iteration: int) -> float:
+    """Return the oracle value ``f``, refusing a NaN or an infinity.
+
+    Without the check a NaN fails every acceptance test and the solver
+    doubles L until its trial cap, long after the fault.
+    """
+    if not math.isfinite(f):
+        raise NonFiniteOracleError("value", iteration)
+    return f
+
+
+def checked_gradient(g: Vector, iteration: int) -> Vector:
+    """Return the oracle gradient ``g``, refusing NaN or infinite entries."""
+    if not all_finite(g):
+        raise NonFiniteOracleError("gradient", iteration)
+    return g
+
+
 def as_vector(x) -> Vector:
     """Validate and convert ``x`` to a finite 1-D float64 array."""
     v = np.asarray(x, dtype=np.float64)
@@ -78,7 +124,7 @@ def as_vector(x) -> Vector:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not all_finite(v):
         raise ValueError("vector entries must be finite")
     return v
 

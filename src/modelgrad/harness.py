@@ -127,6 +127,13 @@ class ExperimentSpec:
             raise ValueError("C must exceed 1")
         if self.mode not in NoisyOracle.MODES:
             raise ValueError(f"mode must be one of {NoisyOracle.MODES}")
+        if self.solver == "nonsmooth" and (self.Delta > 0 or self.delta > 0):
+            raise ValueError(
+                "the restarted solver 'nonsmooth' needs exact values and "
+                "subgradients, but this spec injects oracle noise "
+                f"(Delta={self.Delta!r}, delta={self.delta!r}); "
+                "use --solver algo1 for noisy runs"
+            )
 
 
 @dataclass

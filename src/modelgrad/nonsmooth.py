@@ -23,7 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ModelOracle, NonTerminationError, ProxSetup, Vector
+from .core import (
+    ModelOracle,
+    NonTerminationError,
+    ProxSetup,
+    Vector,
+    checked_gradient,
+    checked_value,
+)
 from .convex import ConvexConfig, ConvexTrace, _acceptance_rhs, model_step
 
 __all__ = [
@@ -131,7 +138,9 @@ def _restart_step(
 
     Returns (x_next, f_next, step, L_final, p_used, reason, trials).
     """
-    oracle.model_gradient_at(x_k)  # anchor the linear part for the iteration
+    checked_value(f_k, k)
+    # anchor the linear part for the iteration
+    checked_gradient(oracle.model_gradient_at(x_k), k)
     L = L_start
     trials = 0
 
@@ -152,7 +161,7 @@ def _restart_step(
         sq = float(np.dot(d, d))
         step = math.sqrt(sq)
         psi = oracle.model(x_next, x_k)
-        f_next = oracle.value_inexact(x_next)
+        f_next = checked_value(oracle.value_inexact(x_next), k)
         if f_next <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta_fixed, 0.0):
             break
         L *= 2.0
@@ -184,7 +193,7 @@ def _restart_step(
         sq = float(np.dot(d, d))
         step = math.sqrt(sq)
         psi = oracle.model(x_next, x_k)
-        f_next = oracle.value_inexact(x_next)
+        f_next = checked_value(oracle.value_inexact(x_next), k)
 
 
 def restart_inner(

@@ -28,6 +28,8 @@ from .core import (
     NonTerminationError,
     Vector,
     as_vector,
+    checked_gradient,
+    checked_value,
 )
 
 __all__ = [
@@ -227,8 +229,11 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         )
 
     for k in range(config.N):
+        checked_value(f_x, k)
         g_vec = oracle.model_gradient_at(x)
         gn = float(np.linalg.norm(g_vec))
+        if not math.isfinite(gn):  # a non-finite entry, or only an overflow
+            checked_gradient(g_vec, k)
         L_cur *= 0.5
         dl_cur *= 0.5
         if config.adapt_Delta:
@@ -257,7 +262,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             sq = float(np.dot(d, d))
             step = math.sqrt(sq)
             lin = float(np.dot(g_vec, d))
-            f_next = oracle.value_inexact(x_next)
+            f_next = checked_value(oracle.value_inexact(x_next), k)
             if f_next <= f_x + lin + L_cur * (0.5 * sq) + Dl_cur * step + dl_cur:
                 break
             L_cur *= 2.0

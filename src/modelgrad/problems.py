@@ -14,7 +14,7 @@ simple composite penalties with closed-form proximal maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,12 +49,23 @@ __all__ = [
 
 
 def _as_centers(centers) -> np.ndarray:
-    a = np.ascontiguousarray(centers, dtype=np.float64)
+    a = np.array(centers, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError("centers must be a nonempty (m, n) array")
     if not np.all(np.isfinite(a)):
         raise ValueError("centers must be finite")
     return a
+
+
+def _set_centers(problem) -> None:
+    """Store a private read-only copy of the centers and its row norms, so
+    the norms cannot go stale under a later write to the caller's array."""
+    a = _as_centers(problem.centers)
+    a.setflags(write=False)
+    sqnorms = kernels.row_sqnorms(a)
+    sqnorms.setflags(write=False)
+    object.__setattr__(problem, "centers", a)
+    object.__setattr__(problem, "sqnorms", sqnorms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,15 +80,15 @@ class BallSumProblem:
     centers: np.ndarray
     ball_radius: float = 1.0
     feasible: FeasibleSet = None
+    sqnorms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_centers(self.centers)
-        object.__setattr__(self, "centers", a)
+        _set_centers(self)
         if not (self.ball_radius > 0 and np.isfinite(self.ball_radius)):
             raise ValueError("ball_radius must be positive and finite")
         if self.feasible is None:
             object.__setattr__(
-                self, "feasible", FeasibleSet.ball(np.zeros(a.shape[1]), 1.0)
+                self, "feasible", FeasibleSet.ball(np.zeros(self.dim), 1.0)
             )
 
     @property
@@ -88,13 +99,13 @@ class BallSumProblem:
         x = as_vector(x)
         if len(x) != self.dim:
             raise ValueError("point dimension differs from the centers")
-        return kernels.ballsum_value(self.centers, x, self.ball_radius)
+        return kernels.ballsum_value(self.centers, x, self.ball_radius, self.sqnorms)
 
     def subgradient(self, x: Vector) -> Vector:
         x = as_vector(x)
         if len(x) != self.dim:
             raise ValueError("point dimension differs from the centers")
-        return kernels.ballsum_subgrad(self.centers, x, self.ball_radius)
+        return kernels.ballsum_subgrad(self.centers, x, self.ball_radius, self.sqnorms)
 
     def oracle(self) -> FunctionOracle:
         return FunctionOracle(self.value, self.subgradient)
@@ -109,10 +120,10 @@ class MinMaxBallProblem:
 
     centers: np.ndarray
     feasible: FeasibleSet = None
+    sqnorms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_centers(self.centers)
-        object.__setattr__(self, "centers", a)
+        _set_centers(self)
         if self.feasible is None:
             object.__setattr__(self, "feasible", FeasibleSet.whole_space())
 
@@ -124,7 +135,7 @@ class MinMaxBallProblem:
         x = as_vector(x)
         if len(x) != self.dim:
             raise ValueError("point dimension differs from the centers")
-        val, _ = kernels.minmax_value(self.centers, x)
+        val, _ = kernels.minmax_value(self.centers, x, self.sqnorms)
         return val
 
     def subgradient(self, x: Vector) -> Vector:
@@ -133,7 +144,7 @@ class MinMaxBallProblem:
         x = as_vector(x)
         if len(x) != self.dim:
             raise ValueError("point dimension differs from the centers")
-        val, j = kernels.minmax_value(self.centers, x)
+        val, j = kernels.minmax_value(self.centers, x, self.sqnorms)
         if val == 0.0:
             return np.zeros_like(x)
         return (x - self.centers[j]) / val
@@ -219,6 +230,15 @@ def pl_quadratic_make(A, b) -> PLQuadratic:
     return PLQuadratic(A=A, b=b, mu=mu, L=L, x_star=as_vector(x_star), f_star=f_star)
 
 
+def _unit(direction) -> Vector:
+    """``direction`` scaled to unit norm; a zero direction is refused."""
+    d = as_vector(direction)
+    nrm = float(np.linalg.norm(d))
+    if not (nrm > 0 and math.isfinite(nrm)):
+        raise ValueError("direction must be nonzero with a finite norm")
+    return d / nrm
+
+
 class NoisyOracle(ModelOracle):
     """Wraps an oracle with bounded value and gradient perturbations.
 
@@ -227,7 +247,8 @@ class NoisyOracle(ModelOracle):
     repeated model queries against the same anchor reuse the cached one,
     matching how the solvers anchor the linear part per iteration.  The
     gradient error degrades the lower model by an extra Delta per unit
-    distance, so gamma accumulates accordingly.
+    distance, so gamma accumulates accordingly.  The adversarial mode's
+    ``direction`` is scaled to unit norm (drawn at random when omitted).
     """
 
     MODES = ("random-sphere", "adversarial-fixed-direction")
@@ -251,7 +272,7 @@ class NoisyOracle(ModelOracle):
         self.delta = float(delta)
         self.mode = mode
         self._rng = np.random.default_rng(seed)
-        self._direction = None if direction is None else as_vector(direction)
+        self._direction = None if direction is None else _unit(direction)
         self.gamma = inner.gamma + self.Delta
         self.known_L = inner.known_L
         self.known_delta = self.delta
@@ -289,7 +310,11 @@ class NoisyOracle(ModelOracle):
             scale = self.Delta * float(self._rng.uniform())
         g_noisy = g + scale * u
         err = float(np.linalg.norm(g_noisy - g))
-        assert err <= self.Delta * (1.0 + 1e-12)
+        if not err <= self.Delta * (1.0 + 1e-12):
+            raise ValueError(
+                f"gradient perturbation of norm {err!r} leaves the envelope "
+                f"Delta = {self.Delta!r}"
+            )
         return g_noisy
 
     def composite_part(self, y: Vector) -> float:

@@ -15,6 +15,7 @@ from modelgrad.core import (
     CertificateUnavailableError,
     FeasibleSet,
     FunctionOracle,
+    NonFiniteOracleError,
     NonTerminationError,
     ProxSetup,
 )
@@ -137,6 +138,22 @@ class TestConvexMinimize:
             convex_minimize(config, oracle, WHOLE)
         assert info.value.iteration == 0
         assert info.value.inner_calls == 10
+
+    def test_nan_value_fails_at_once(self):
+        # f turns NaN past x = 1.5 on the way to the minimizer at x = 4
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            return float("nan") if x[0] > 1.5 else 0.5 * float((x[0] - 4.0) ** 2)
+
+        oracle = FunctionOracle(value, lambda x: np.array([x[0] - 4.0]))
+        config = ConvexConfig(x0=np.zeros(1), L0=2.0, N=20)
+        with pytest.raises(NonFiniteOracleError) as info:
+            convex_minimize(config, oracle, WHOLE)
+        assert info.value.quantity == "value"
+        assert info.value.iteration == 0
+        assert len(calls) == 2  # x0, then the first trial point
 
     def test_early_stop_via_certificate(self):
         oracle = quadratic_oracle()

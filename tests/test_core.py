@@ -35,6 +35,23 @@ def test_as_vector_rejects_matrices_and_nonfinite():
         as_vector([np.inf])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the fast check's sum overflows
+def test_as_vector_accepts_huge_finite_entries():
+    v = as_vector([1e200, -1e200, 3.0])
+    assert v[0] == 1e200 and v[1] == -1e200
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+@pytest.mark.parametrize("fill", [1.0, 1e200])
+def test_as_vector_rejects_nonfinite_anywhere(bad, where, fill):
+    v = np.full(7, fill)
+    v[where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        as_vector(v)
+
+
 class TestFeasibleSet:
     def test_whole_space_contains_everything(self):
         q = FeasibleSet.whole_space()

@@ -69,6 +69,22 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(task="task1", mode="gaussian")
 
+    @pytest.mark.parametrize("task", ["task1", "task2"])
+    @pytest.mark.parametrize("noise", [{"Delta": 0.1}, {"delta": 0.1}])
+    def test_noisy_restarted_runs_refused_up_front(self, task, noise):
+        with pytest.raises(ValueError, match="--solver algo1"):
+            ExperimentSpec(task=task, **noise)
+        with pytest.raises(ValueError, match="--solver algo1"):
+            ExperimentSpec(task=task, solver="nonsmooth", **noise)
+        assert ExperimentSpec(task=task, solver="algo1", **noise).solver == "algo1"
+
+    def test_cli_refuses_noisy_restarted_table1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main(["table1", "--task", "task1", "--Delta", "0.1", "--out", str(out)])
+        assert rc == 2
+        assert "--solver algo1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_incompatible_combo_rejected_at_run(self):
         spec = ExperimentSpec(task="pl-quadratic", solver="algo1")
         with pytest.raises(ValueError):
@@ -84,7 +100,7 @@ class TestConfigFiles:
             iteration_grid=(10, 30, 70),
             replications=4,
             seed=12,
-            solver="nonsmooth",
+            solver="algo1",
             L0=0.7,
             Delta=0.125,
             delta=0.0625,

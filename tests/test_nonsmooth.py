@@ -5,6 +5,7 @@ from modelgrad.convex import ConvexConfig, convex_minimize
 from modelgrad.core import (
     FeasibleSet,
     FunctionOracle,
+    NonFiniteOracleError,
     NonTerminationError,
     ProxSetup,
 )
@@ -188,6 +189,20 @@ class TestNonsmoothMinimize:
         trace, _ = nonsmooth_minimize(config, oracle, WHOLE)
         assert trace.stopped_early
         assert trace.cert_hist[-1] <= 0.05
+
+    def test_infinite_gradient_fails_at_once(self):
+        # the gradient blows up once an iterate leaves the half plane x0 < 0.5
+        target = np.array([2.0, 0.0])
+
+        def gradient(x):
+            return np.array([np.inf, 0.0]) if x[0] > 0.5 else x - target
+
+        oracle = FunctionOracle(lambda x: 0.5 * float((x - target) @ (x - target)), gradient)
+        cfg = NonsmoothConfig(base=ConvexConfig(x0=np.zeros(2), L0=4.0, N=50), epsilon=0.1)
+        with pytest.raises(NonFiniteOracleError) as info:
+            nonsmooth_minimize(cfg, oracle, WHOLE)
+        assert info.value.quantity == "gradient"
+        assert 1 <= info.value.iteration < 5
 
     def test_rejects_inexact_or_loose_oracles(self):
         rng = np.random.default_rng(5)

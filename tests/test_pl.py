@@ -6,6 +6,7 @@ import pytest
 from modelgrad.core import (
     FunctionOracle,
     InconsistentTraceError,
+    NonFiniteOracleError,
     NonTerminationError,
 )
 from modelgrad.pl import (
@@ -131,6 +132,31 @@ class TestMinimize:
         trace = pl_minimize(config, noisy)
         values = np.concatenate(([trace.f0], trace.f_values))
         assert np.all(np.diff(values) < 0.0)
+
+    def test_nan_value_fails_at_once(self):
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            return math.nan if x[0] < 0.5 else 0.5 * float(x @ x)
+
+        oracle = FunctionOracle(value, lambda x: x.copy())
+        config = PLConfig(x0=np.array([1.0, 0.0]), L0=2.0, N=50)
+        with pytest.raises(NonFiniteOracleError) as info:
+            pl_minimize(config, oracle)
+        assert (info.value.quantity, info.value.iteration) == ("value", 0)
+        assert len(calls) == 2  # x0, then the first trial point
+
+    def test_nan_gradient_fails_at_once(self):
+        def gradient(x):
+            return np.array([math.nan, 0.0]) if x[0] < 0.5 else x.copy()
+
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), gradient)
+        config = PLConfig(x0=np.array([1.0, 0.0]), L0=1.0, N=50)
+        with pytest.raises(NonFiniteOracleError) as info:
+            pl_minimize(config, oracle)
+        assert info.value.quantity == "gradient"
+        assert 1 <= info.value.iteration < 5
 
     def test_liar_oracle_raises_with_partial_trace(self):
         oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))

@@ -53,6 +53,17 @@ class TestBallSum:
             prob.value(np.zeros(3))
 
 
+@pytest.mark.parametrize("cls", [BallSumProblem, MinMaxBallProblem])
+def test_row_norms_cannot_go_stale(cls):
+    centers = np.array([[2.0, 0.0], [0.0, 3.0]])
+    prob = cls(centers)
+    before = prob.value(np.zeros(2))
+    centers[1, 1] = 50.0  # the problem keeps its own copy
+    assert prob.value(np.zeros(2)) == before
+    with pytest.raises(ValueError):
+        prob.centers[1, 1] = 50.0
+
+
 class TestMinMax:
     def test_frozen_two_point_instance(self):
         prob = MinMaxBallProblem(np.array([[1.0, 0.0], [-1.0, 0.0]]))
@@ -191,6 +202,32 @@ class TestNoisyOracle:
         e2 = noisy.model_gradient_at(x2) - prob.gradient(x2)
         np.testing.assert_allclose(e1, e2, rtol=1e-12)
         assert np.linalg.norm(e1) == pytest.approx(0.2, rel=1e-12)
+
+    def test_non_unit_direction_is_normalised(self):
+        prob = self._base()
+        noisy = NoisyOracle(
+            prob.oracle(), Delta=0.1, mode="adversarial-fixed-direction",
+            direction=[2.0, 0.0, 0.0, 0.0],
+        )
+        x = np.ones(4)
+        err = noisy.model_gradient_at(x) - prob.gradient(x)
+        np.testing.assert_allclose(err, [0.1, 0.0, 0.0, 0.0], rtol=1e-12, atol=1e-15)
+
+    def test_bad_directions_refused(self):
+        prob = self._base()
+        for direction in ([0.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                NoisyOracle(prob.oracle(), Delta=0.1, direction=direction)
+
+    def test_envelope_violation_raises(self):
+        # a one-entry direction broadcasts over all four coordinates, so the
+        # perturbation has norm 2 * Delta; the check must raise, not assert
+        prob = self._base()
+        noisy = NoisyOracle(
+            prob.oracle(), Delta=0.1, mode="adversarial-fixed-direction", direction=[3.0]
+        )
+        with pytest.raises(ValueError, match="envelope"):
+            noisy.model_gradient_at(np.ones(4))
 
     def test_validation(self):
         prob = self._base()
