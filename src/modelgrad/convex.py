@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     AdaptiveTriple,
     CertificateUnavailableError,
+    Evaluation,
     ModelOracle,
     NonTerminationError,
     ProxSetup,
@@ -105,6 +106,7 @@ class ConvexState:
     cert_hist: list = field(default_factory=list)
     elapsed_hist: list = field(default_factory=list)
     iterates: Optional[list] = None
+    anchor: Optional[Evaluation] = None  # the oracle's evaluation at x
 
 
 @dataclass
@@ -144,13 +146,31 @@ def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
     return f_k + psi + L * half_sq + Delta * step + delta
 
 
-def model_step(oracle: ModelOracle, setup: ProxSetup, x_k: Vector, L: float) -> Vector:
+def _require_linear_model(oracle: ModelOracle) -> None:
+    """Refuse an oracle whose class overrides ``model``: ``model_step`` only
+    solves the linear-plus-composite subproblem, and the solvers compute psi
+    as ``ModelOracle.model`` does."""
+    if type(oracle).model is not ModelOracle.model:
+        raise UnsupportedCombinationError(
+            f"{type(oracle).__name__} overrides model(), but the model-step "
+            "solvers only handle the linear-plus-composite model"
+        )
+
+
+def model_step(
+    oracle: ModelOracle,
+    setup: ProxSetup,
+    x_k: Vector,
+    L: float,
+    g: Optional[Vector] = None,
+) -> Vector:
     """Solve argmin_{y in Q} psi(y, x_k) + L * V(y, x_k).
 
     For the euclidean setup and a linear-plus-composite model this is the
     proximal point of the composite part at x_k - g/L with weight 1/L,
     projected onto the feasible set; with no composite part it reduces to
-    a projected gradient step.
+    a projected gradient step.  ``g`` is the anchor gradient; without it
+    the oracle is asked for ``model_gradient_at(x_k)``.
     """
     if not L > 0:
         raise ValueError("L must be positive")
@@ -158,13 +178,33 @@ def model_step(oracle: ModelOracle, setup: ProxSetup, x_k: Vector, L: float) -> 
         raise UnsupportedCombinationError(
             f"no subproblem solver for generator {setup.generator!r}"
         )
-    g = oracle.model_gradient_at(x_k)
+    if g is None:
+        g = oracle.model_gradient_at(x_k)
     if len(g) != len(x_k):
         raise ValueError("oracle gradient dimension differs from the iterate")
     v = x_k - g / L
     if oracle.has_composite:
         v = oracle.composite_prox(v, 1.0 / L)
     return setup.feasible.project(v)
+
+
+def _trial(oracle, setup, x_k, anchor, g, L, k):
+    """Take the model step at ``L`` from the anchor ``x_k`` and evaluate it.
+
+    Returns (x_next, its evaluation, psi(x_next, x_k), squared step length,
+    step length).  psi uses the float operations of ``ModelOracle.model``
+    on the anchor gradient ``g`` and the composite parts of the two
+    evaluations.
+    """
+    x_next = model_step(oracle, setup, x_k, L, g)
+    d = x_next - x_k
+    sq = float(np.dot(d, d))
+    trial = oracle.evaluate(x_next)
+    checked_value(trial.value, k)
+    psi = float(np.dot(g, d))
+    if oracle.has_composite:
+        psi += trial.h - anchor.h
+    return x_next, trial, psi, sq, math.sqrt(sq)
 
 
 def acceptance_test(
@@ -198,15 +238,18 @@ def convex_iterate(
     """Advance the run by one accepted step.
 
     Halves the triple once, then alternates subproblem solves with
-    acceptance tests, doubling the triple after each rejection.  Raises
+    acceptance tests, doubling the triple after each rejection.  The
+    anchor's gradient comes from ``state.anchor`` (the accepted trial's
+    evaluation), which is queried at ``state.x`` when missing.  Raises
     ``NonTerminationError`` when ``cap`` trials pass without acceptance and
     ``NonFiniteOracleError`` at the first NaN or infinite value or gradient.
     """
+    _require_linear_model(oracle)
     t = state.triple.halved()
     x_k = state.x
     f_k = checked_value(state.f_x, state.k)
-    # anchor the iteration's linear part
-    checked_gradient(oracle.model_gradient_at(x_k), state.k)
+    anchor = state.anchor if state.anchor is not None else oracle.evaluate(x_k)
+    g = checked_gradient(anchor.gradient(), state.k)
     inner = 0
     while True:
         inner += 1
@@ -218,12 +261,8 @@ def convex_iterate(
                 t,
                 cap,
             )
-        x_next = model_step(oracle, setup, x_k, t.L)
-        d = x_next - x_k
-        sq = float(np.dot(d, d))
-        step = math.sqrt(sq)
-        psi = oracle.model(x_next, x_k)
-        f_next = checked_value(oracle.value_inexact(x_next), state.k)
+        x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, t.L, state.k)
+        f_next = trial.value
         if f_next <= _acceptance_rhs(f_k, psi, t.L, 0.5 * sq, step, t.Delta, t.delta):
             break
         t = t.doubled()
@@ -247,17 +286,20 @@ def convex_iterate(
         state.best_x = x_next
     state.x = x_next
     state.f_x = f_next
+    state.anchor = trial
     state.triple = t
     return state
 
 
 def _init_state(config: ConvexConfig, oracle: ModelOracle) -> ConvexState:
     x0 = config.x0
-    f0 = oracle.value_inexact(x0)
+    anchor = oracle.evaluate(x0)
+    f0 = anchor.value
     state = ConvexState(
         x=x0,
         f_x=f0,
         triple=AdaptiveTriple(config.L0, config.delta0, config.Delta0),
+        anchor=anchor,
         weighted_sum=np.zeros_like(x0),
         best_f=f0,
         best_x=x0,
@@ -298,6 +340,7 @@ def convex_minimize(
     epsilon configured, gamma = 0, and the value inexactness known (zero
     for exact oracles).
     """
+    _require_linear_model(oracle)
     if not setup.feasible.contains(config.x0):
         raise ValueError("x0 lies outside the feasible set")
     state = _init_state(config, oracle)

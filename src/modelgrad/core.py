@@ -6,7 +6,9 @@ feasible set, the distance-generating setup, and the jointly scaled
 ``(L, delta, Delta)`` parameter triple.  ``ModelOracle`` is the contract
 every objective implements: an inexact value, a model of the objective
 around a point, and metadata consumed by certificates and budget
-formulas (never by the adaptive loops themselves).
+formulas (never by the adaptive loops themselves).  ``Evaluation`` is one
+oracle query at a point, which the solvers carry from the accepted trial to
+the next iteration's anchor.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "Vector",
     "all_finite",
     "as_vector",
+    "norm",
     "checked_gradient",
     "checked_value",
     "DimensionMismatchError",
@@ -36,6 +39,7 @@ __all__ = [
     "FeasibleSet",
     "ProxSetup",
     "AdaptiveTriple",
+    "Evaluation",
     "ModelOracle",
     "FunctionOracle",
     "bregman_divergence",
@@ -94,9 +98,20 @@ def all_finite(v: Vector) -> bool:
 
     One dot product settles the common case: a finite sum of squares means
     every entry is finite.  A NaN, an infinity or a sum that overflows falls
-    through to the exact elementwise test.
+    through to the exact elementwise test.  ``np.vdot`` rather than
+    ``v.dot``: the latter warns when the sum overflows, which entries above
+    about 1e154 make it do although they are valid.
     """
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
+def norm(v: Vector) -> float:
+    """Euclidean norm of the 1-D float64 array ``v``.
+
+    The same float as ``np.linalg.norm(v)``, which computes sqrt(v.v) for a
+    real vector, without its dispatch cost.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def checked_value(f: float, iteration: int) -> float:
@@ -224,7 +239,7 @@ def project_ball(x: Vector, center: Vector, radius: float) -> Vector:
     if len(x) != len(center):
         raise DimensionMismatchError("point and center dimensions differ")
     d = x - center
-    dist = float(np.linalg.norm(d))
+    dist = norm(d)
     if dist <= radius * (1.0 + 4.0 * _EPS):
         return x
     # One rounding per coordinate: d * radius / dist, not d * (radius/dist).
@@ -245,11 +260,11 @@ class AdaptiveTriple:
     Delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.L > 0 and np.isfinite(self.L)):
+        if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError("L must be positive and finite")
-        if self.delta < 0 or not np.isfinite(self.delta):
+        if self.delta < 0 or not math.isfinite(self.delta):
             raise ValueError("delta must be nonnegative and finite")
-        if self.Delta < 0 or not np.isfinite(self.Delta):
+        if self.Delta < 0 or not math.isfinite(self.Delta):
             raise ValueError("Delta must be nonnegative and finite")
 
     def halved(self) -> "AdaptiveTriple":
@@ -266,6 +281,32 @@ def scale_triple(t: AdaptiveTriple, factor: float) -> AdaptiveTriple:
     return AdaptiveTriple(t.L * factor, t.delta * factor, t.Delta * factor)
 
 
+class Evaluation:
+    """One oracle query at a point x.
+
+    ``value`` is the inexact objective value and ``h`` the composite part
+    h(x) (zero for oracles without one), both computed when the query is
+    made.  ``gradient()`` computes the gradient on its first call, from
+    what the value computation kept, and returns the same vector after
+    that.  The query keeps x itself, not a copy: x must not be changed in
+    place before the gradient has been asked for.
+    """
+
+    __slots__ = ("value", "h", "_make_gradient", "_gradient")
+
+    def __init__(self, value: float, h: float, make_gradient: Callable[[], Vector]):
+        self.value = value
+        self.h = h
+        self._make_gradient = make_gradient
+        self._gradient = None
+
+    def gradient(self) -> Vector:
+        if self._gradient is None:
+            self._gradient = self._make_gradient()
+            self._make_gradient = None
+        return self._gradient
+
+
 class ModelOracle:
     """Inexact first-order description of an objective.
 
@@ -276,10 +317,13 @@ class ModelOracle:
 
     where h is the composite part (zero unless ``has_composite``).
 
-    The gradient is memoized per anchor point, keyed by object identity,
-    so the repeated model evaluations inside one solver iteration reuse a
-    single oracle query.  Consequently one oracle instance serves one
-    solver run at a time.
+    The solvers query the oracle through ``evaluate``, once per point, and
+    take the anchor gradient from the accepted point's evaluation.  An
+    oracle whose value and gradient share work overrides ``evaluate``.
+
+    ``model`` memoizes the gradient per anchor point, keyed by object
+    identity, so repeated model evaluations against one anchor reuse a
+    single oracle query.
     """
 
     gamma: float = 0.0
@@ -298,6 +342,17 @@ class ModelOracle:
 
     def _gradient(self, x: Vector) -> Vector:
         raise NotImplementedError
+
+    def evaluate(self, x: Vector) -> Evaluation:
+        """Query the oracle at ``x``: the value now, the gradient on demand.
+
+        This default calls ``value_inexact`` (and ``composite_part`` when
+        the oracle has a composite part) at once, and ``_gradient`` only
+        when the evaluation's gradient is asked for.
+        """
+        value = self.value_inexact(x)
+        h = self.composite_part(x) if self.has_composite else 0.0
+        return Evaluation(value, h, lambda: self._gradient(x))
 
     def model_gradient_at(self, x: Vector) -> Vector:
         """Vector defining the linear part of the model anchored at ``x``."""

@@ -11,6 +11,7 @@ of solution quality can be inspected.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -29,6 +30,7 @@ from .problems import (
     composite_oracle,
     generate_task1,
     generate_task2,
+    least_squares,
     pl_quadratic_make,
 )
 
@@ -75,7 +77,8 @@ class ConfigError(ValueError):
 class ExperimentSpec:
     """One experiment cell grid: task, scale, solver, and noise settings.
 
-    ``Delta0``/``delta0`` seed the solver's working constants; for the
+    ``Delta0``/``delta0`` seed the solver's working constants; zero means
+    "start at the injected noise level" for algo1 and algo2.  For the
     restarted nonsmooth solver ``Delta0`` is the fixed kink budget, and
     zero means "use the task's conservative class constant".  ``Delta``
     and ``delta`` are injected oracle noise levels, ``epsilon`` the target
@@ -352,15 +355,13 @@ def _composite_objects(spec: ExperimentSpec, rep_seed: int):
     rng = np.random.default_rng(rep_seed)
     A = rng.standard_normal((spec.m, spec.n))
     b = rng.standard_normal(spec.m)
-
-    def value(x):
-        r = A @ x - b
-        return 0.5 * float(np.dot(r, r))
-
-    def gradient(x):
-        return A.T @ (A @ x - b)
-
-    return composite_oracle(value, gradient, L1Penalty(_COMPOSITE_WEIGHT))
+    evaluate = functools.partial(least_squares, A, b)
+    return composite_oracle(
+        lambda x: evaluate(x).value,
+        lambda x: evaluate(x).gradient(),
+        L1Penalty(_COMPOSITE_WEIGHT),
+        evaluate_fn=evaluate,
+    )
 
 
 def _maybe_noisy(oracle: ModelOracle, spec: ExperimentSpec, noise_seed: int):
@@ -399,15 +400,27 @@ def _prepare(spec: ExperimentSpec, rep_seed: int):
     return None, oracle, ProxSetup(FeasibleSet.whole_space())
 
 
+def _working_levels(spec: ExperimentSpec) -> tuple:
+    """(delta0, Delta0) for algo1 and algo2: the configured working
+    constants, or the injected noise levels where those are unset (zero).
+    Starting at zero under injected noise, the acceptance test can fail at
+    every L once the steps are short."""
+    return (
+        spec.delta0 if spec.delta0 > 0 else spec.delta,
+        spec.Delta0 if spec.Delta0 > 0 else spec.Delta,
+    )
+
+
 def _solve(spec: ExperimentSpec, problem, oracle, setup):
     """Run the configured solver; returns (trace, restart records or None)."""
     N = max(spec.iteration_grid)
+    delta0, Delta0 = _working_levels(spec)
     if spec.task in ("task1", "task2"):
         base = ConvexConfig(
             x0=np.zeros(spec.n),
             L0=spec.L0,
-            delta0=spec.delta0 if spec.solver == "algo1" else 0.0,
-            Delta0=spec.Delta0 if spec.solver == "algo1" else 0.0,
+            delta0=delta0 if spec.solver == "algo1" else 0.0,
+            Delta0=Delta0 if spec.solver == "algo1" else 0.0,
             N=N,
             R=math.sqrt(_TASK_R2),
             store_iterates=False,
@@ -424,8 +437,8 @@ def _solve(spec: ExperimentSpec, problem, oracle, setup):
         cfg = PLConfig(
             x0=np.zeros(spec.n),
             L0=spec.L0,
-            Delta0=spec.Delta0 if spec.Delta0 > 0 else spec.Delta,
-            delta0=spec.delta0 if spec.delta0 > 0 else spec.delta,
+            Delta0=Delta0,
+            delta0=delta0,
             N=N,
             C=spec.C,
             mu=problem.mu,
@@ -437,8 +450,8 @@ def _solve(spec: ExperimentSpec, problem, oracle, setup):
     base = ConvexConfig(
         x0=np.zeros(spec.n),
         L0=spec.L0,
-        delta0=spec.delta0,
-        Delta0=spec.Delta0,
+        delta0=delta0,
+        Delta0=Delta0,
         N=N,
         store_iterates=False,
     )

@@ -24,6 +24,10 @@ its differences when
 
 The per-row work runs on Python floats: at the m = 10 rows of the paper's
 protocols one numpy call costs more than the whole loop.
+
+Each kernel is the sweep ``sq_dists`` followed by a per-row reduction.  The
+reductions are public too, so a caller that needs both the value and the
+subgradient at one point (``BallSumProblem.evaluate``) sweeps once.
 """
 
 import math
@@ -39,7 +43,7 @@ def row_sqnorms(centers):
     return np.einsum("ij,ij->i", centers, centers)
 
 
-def _sq_dists(centers, x, sqnorms, kink_sq):
+def sq_dists(centers, x, sqnorms, kink_sq):
     """Squared distances from ``x`` to the rows, as a list of floats, and
     the indices of the rows recomputed from their differences.
 
@@ -65,24 +69,24 @@ def _sq_dists(centers, x, sqnorms, kink_sq):
     return sq, redo
 
 
-def ballsum_value(centers, x, radius, sqnorms=None):
-    """sum_k max(||x - a_k|| - radius, 0)."""
+def ballsum_value_from(sq, radius):
+    """sum_k max(sqrt(sq_k) - radius, 0) over the squared distances ``sq``."""
     total = 0.0
-    for d2 in _sq_dists(centers, x, sqnorms, radius * radius)[0]:
+    for d2 in sq:
         d = math.sqrt(d2)
         if d > radius:
             total += d - radius
     return total
 
 
-def ballsum_subgrad(centers, x, radius, sqnorms=None):
-    """sum over rows outside their ball of (x - a_k) / ||x - a_k||.
+def ballsum_subgrad_from(centers, x, radius, sq, redo):
+    """sum over rows outside their ball of (x - a_k) / ||x - a_k||, from the
+    squared distances ``sq`` and recomputed rows ``redo`` of ``sq_dists``.
 
     Evaluated as sum(w) * x - w @ centers with w_k = 1 / d_k on those rows,
     except on the recomputed rows: next to a center the two products are
     far larger than their difference, so those rows use x - a_k directly.
     """
-    sq, redo = _sq_dists(centers, x, sqnorms, radius * radius)
     w = [1.0 / d if d > radius else 0.0 for d in map(math.sqrt, sq)]
     exact = [k for k in redo if w[k]]
     w_exact = [w[k] for k in exact]
@@ -95,8 +99,19 @@ def ballsum_subgrad(centers, x, radius, sqnorms=None):
     return g
 
 
+def ballsum_value(centers, x, radius, sqnorms=None):
+    """sum_k max(||x - a_k|| - radius, 0)."""
+    return ballsum_value_from(sq_dists(centers, x, sqnorms, radius * radius)[0], radius)
+
+
+def ballsum_subgrad(centers, x, radius, sqnorms=None):
+    """sum over rows outside their ball of (x - a_k) / ||x - a_k||."""
+    sq, redo = sq_dists(centers, x, sqnorms, radius * radius)
+    return ballsum_subgrad_from(centers, x, radius, sq, redo)
+
+
 def minmax_value(centers, x, sqnorms=None):
     """(max_k ||x - a_k||, k), the lowest k attaining the computed maximum."""
-    sq = _sq_dists(centers, x, sqnorms, math.inf)[0]
+    sq = sq_dists(centers, x, sqnorms, math.inf)[0]
     best = max(sq)
     return math.sqrt(best), sq.index(best)

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    Evaluation,
     ModelOracle,
     NonTerminationError,
     ProxSetup,
@@ -31,7 +32,7 @@ from .core import (
     checked_gradient,
     checked_value,
 )
-from .convex import ConvexConfig, ConvexTrace, _acceptance_rhs, model_step
+from .convex import ConvexConfig, ConvexTrace, _acceptance_rhs, _require_linear_model, _trial
 
 __all__ = [
     "NonsmoothConfig",
@@ -125,7 +126,7 @@ def _restart_step(
     oracle: ModelOracle,
     setup: ProxSetup,
     x_k: Vector,
-    f_k: float,
+    anchor: Evaluation,
     L_start: float,
     Delta_fixed: float,
     epsilon: float,
@@ -136,11 +137,11 @@ def _restart_step(
 ):
     """One outer iteration: bootstrap acceptance, then fixed-Delta doubling.
 
-    Returns (x_next, f_next, step, L_final, p_used, reason, trials).
+    ``anchor`` is the oracle's evaluation at ``x_k``.  Returns (x_next, its
+    evaluation, step, L_final, p_used, reason, trials).
     """
-    checked_value(f_k, k)
-    # anchor the linear part for the iteration
-    checked_gradient(oracle.model_gradient_at(x_k), k)
+    f_k = checked_value(anchor.value, k)
+    g = checked_gradient(anchor.gradient(), k)
     L = L_start
     trials = 0
 
@@ -156,13 +157,8 @@ def _restart_step(
                 None,
                 inner_cap,
             )
-        x_next = model_step(oracle, setup, x_k, L)
-        d = x_next - x_k
-        sq = float(np.dot(d, d))
-        step = math.sqrt(sq)
-        psi = oracle.model(x_next, x_k)
-        f_next = checked_value(oracle.value_inexact(x_next), k)
-        if f_next <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta_fixed, 0.0):
+        x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, L, k)
+        if trial.value <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta_fixed, 0.0):
             break
         L *= 2.0
 
@@ -174,9 +170,9 @@ def _restart_step(
     p = 0
     while True:
         if Delta_fixed * step <= 0.5 * epsilon:
-            return x_next, f_next, step, L, p, STOP_DELTA_TERM, trials
-        if f_next <= f_k + psi + (2.0**p) * L_ref * (0.5 * sq):
-            return x_next, f_next, step, L, p, STOP_SMOOTH, trials
+            return x_next, trial, step, L, p, STOP_DELTA_TERM, trials
+        if trial.value <= f_k + psi + (2.0**p) * L_ref * (0.5 * sq):
+            return x_next, trial, step, L, p, STOP_SMOOTH, trials
         p += 1
         if p > p_cap:
             raise NonTerminationError(
@@ -188,12 +184,7 @@ def _restart_step(
             )
         L *= 2.0
         trials += 1
-        x_next = model_step(oracle, setup, x_k, L)
-        d = x_next - x_k
-        sq = float(np.dot(d, d))
-        step = math.sqrt(sq)
-        psi = oracle.model(x_next, x_k)
-        f_next = checked_value(oracle.value_inexact(x_next), k)
+        x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, L, k)
 
 
 def restart_inner(
@@ -209,9 +200,10 @@ def restart_inner(
     inner_cap: int = 100,
 ):
     """Public wrapper around one restart; returns (x_next, RestartRecord)."""
-    f_k = oracle.value_inexact(x_k)
+    _require_linear_model(oracle)
+    anchor = oracle.evaluate(x_k)
     x_next, _, _, L_final, p_used, reason, _ = _restart_step(
-        oracle, setup, x_k, f_k, L_start, Delta_fixed, epsilon, p_cap, L_class, k, inner_cap
+        oracle, setup, x_k, anchor, L_start, Delta_fixed, epsilon, p_cap, L_class, k, inner_cap
     )
     return x_next, RestartRecord(k=k, p_used=p_used, stop_reason=reason, final_L=L_final)
 
@@ -230,19 +222,20 @@ def nonsmooth_minimize(
         raise ValueError("the restarted method requires exact objective values")
     if oracle.gamma != 0:
         raise ValueError("the restarted method requires a tight lower model")
+    _require_linear_model(oracle)
     base = config.base
     if not setup.feasible.contains(base.x0):
         raise ValueError("x0 lies outside the feasible set")
 
     x = base.x0
-    f_x = oracle.value_inexact(x)
-    f0 = f_x
+    anchor = oracle.evaluate(x)
+    f0 = anchor.value
     records = []
     S = 0.0
     weighted_sum = np.zeros_like(x)
     noise_sum = 0.0
     total_inner = 0
-    best_f, best_x = f_x, x
+    best_f, best_x = f0, x
     f_values, L_hist, delta_hist, Delta_hist = [], [], [], []
     inner_hist, step_hist, cert_hist, elapsed_hist = [], [], [], []
     iterates = [x] if base.store_iterates else None
@@ -252,11 +245,11 @@ def nonsmooth_minimize(
     t_start = time.perf_counter()
     for k in range(base.N):
         L_start = 0.5 * L_carry
-        x_next, f_next, step, L_final, p_used, reason, trials = _restart_step(
+        x_next, anchor, step, L_final, p_used, reason, trials = _restart_step(
             oracle,
             setup,
             x,
-            f_x,
+            anchor,
             L_start,
             config.Delta_known,
             config.epsilon,
@@ -268,6 +261,7 @@ def nonsmooth_minimize(
         records.append(
             RestartRecord(k=k, p_used=p_used, stop_reason=reason, final_L=L_final)
         )
+        f_next = anchor.value
         Delta_eff = config.Delta_known if reason == STOP_DELTA_TERM else 0.0
         w = 1.0 / L_final
         S += w
@@ -284,7 +278,7 @@ def nonsmooth_minimize(
             iterates.append(x_next)
         if f_next < best_f:
             best_f, best_x = f_next, x_next
-        x, f_x = x_next, f_next
+        x = x_next
         L_carry = L_final
 
         if base.R is not None:

@@ -30,6 +30,7 @@ from .core import (
     as_vector,
     checked_gradient,
     checked_value,
+    norm,
 )
 
 __all__ = [
@@ -155,7 +156,7 @@ def pl_step_size(L: float, Delta: float, g_tilde: float) -> float:
     Raises SmallGradientError when the observed norm does not exceed
     Delta; the direction cannot be trusted there.
     """
-    if not (L > 0 and np.isfinite(L)):
+    if not (L > 0 and math.isfinite(L)):
         raise ValueError("L must be positive and finite")
     if Delta < 0:
         raise ValueError("Delta must be nonnegative")
@@ -190,9 +191,14 @@ def _clamped(value: float, cap: Optional[float]) -> float:
 
 
 def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
-    """Run the adaptive damped-descent method; output is the last iterate."""
+    """Run the adaptive damped-descent method; output is the last iterate.
+
+    Each point is evaluated once: the accepted trial's evaluation gives the
+    next iteration's gradient.
+    """
     x = config.x0
-    f_x = oracle.value_inexact(x)
+    ev = oracle.evaluate(x)
+    f_x = ev.value
     f0 = f_x
     best_f = f_x
 
@@ -230,8 +236,8 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
 
     for k in range(config.N):
         checked_value(f_x, k)
-        g_vec = oracle.model_gradient_at(x)
-        gn = float(np.linalg.norm(g_vec))
+        g_vec = ev.gradient()
+        gn = norm(g_vec)
         if not math.isfinite(gn):  # a non-finite entry, or only an overflow
             checked_gradient(g_vec, k)
         L_cur *= 0.5
@@ -262,7 +268,8 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             sq = float(np.dot(d, d))
             step = math.sqrt(sq)
             lin = float(np.dot(g_vec, d))
-            f_next = checked_value(oracle.value_inexact(x_next), k)
+            trial = oracle.evaluate(x_next)
+            f_next = checked_value(trial.value, k)
             if f_next <= f_x + lin + L_cur * (0.5 * sq) + Dl_cur * step + dl_cur:
                 break
             L_cur *= 2.0
@@ -286,9 +293,9 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             iterates.append(x_next)
         if f_next < best_f:
             best_f = f_next
-        x, f_x = x_next, f_next
+        x, f_x, ev = x_next, f_next, trial
 
-    final_g_norm = float(np.linalg.norm(oracle.model_gradient_at(x)))
+    final_g_norm = norm(ev.gradient())
     return _partial(termination, final_g_norm)
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    Evaluation,
     FeasibleSet,
     FunctionOracle,
     ModelOracle,
@@ -27,6 +28,7 @@ from .core import (
     UnsupportedCombinationError,
     Vector,
     as_vector,
+    norm,
     project_ball,
 )
 from . import kernels
@@ -38,6 +40,7 @@ __all__ = [
     "generate_task2",
     "PLQuadratic",
     "pl_quadratic_make",
+    "least_squares",
     "NoisyOracle",
     "L1Penalty",
     "BallIndicator",
@@ -55,6 +58,25 @@ def _as_centers(centers) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("centers must be finite")
     return a
+
+
+class _ProblemOracle(FunctionOracle):
+    """``FunctionOracle`` over a problem's value and (sub)gradient, whose
+    ``evaluate`` is the problem's own: one sweep per point."""
+
+    def __init__(self, problem, gradient_fn, **meta):
+        super().__init__(problem.value, gradient_fn, **meta)
+        self._evaluate = problem.evaluate
+
+    def evaluate(self, x: Vector) -> Evaluation:
+        return self._evaluate(x)
+
+
+def _checked_point(problem, x) -> Vector:
+    x = as_vector(x)
+    if len(x) != problem.dim:
+        raise ValueError("point dimension differs from the centers")
+    return x
 
 
 def _set_centers(problem) -> None:
@@ -95,20 +117,28 @@ class BallSumProblem:
     def dim(self) -> int:
         return self.centers.shape[1]
 
+    def evaluate(self, x: Vector) -> Evaluation:
+        """The value at ``x``; the subgradient, when asked for, reuses the
+        squared distances of the value's sweep."""
+        x = _checked_point(self, x)
+        r = self.ball_radius
+        sq, redo = kernels.sq_dists(self.centers, x, self.sqnorms, r * r)
+        return Evaluation(
+            kernels.ballsum_value_from(sq, r),
+            0.0,
+            lambda: kernels.ballsum_subgrad_from(self.centers, x, r, sq, redo),
+        )
+
     def value(self, x: Vector) -> float:
-        x = as_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension differs from the centers")
+        x = _checked_point(self, x)
         return kernels.ballsum_value(self.centers, x, self.ball_radius, self.sqnorms)
 
     def subgradient(self, x: Vector) -> Vector:
-        x = as_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension differs from the centers")
+        x = _checked_point(self, x)
         return kernels.ballsum_subgrad(self.centers, x, self.ball_radius, self.sqnorms)
 
     def oracle(self) -> FunctionOracle:
-        return FunctionOracle(self.value, self.subgradient)
+        return _ProblemOracle(self, self.subgradient)
 
     def prox_setup(self) -> ProxSetup:
         return ProxSetup(self.feasible)
@@ -131,23 +161,27 @@ class MinMaxBallProblem:
     def dim(self) -> int:
         return self.centers.shape[1]
 
+    def evaluate(self, x: Vector) -> Evaluation:
+        """The value at ``x``; the subgradient, when asked for, reuses the
+        farthest center and its distance."""
+        x = _checked_point(self, x)
+        val, j = kernels.minmax_value(self.centers, x, self.sqnorms)
+        return Evaluation(val, 0.0, lambda: self._toward(x, val, j))
+
+    def _toward(self, x: Vector, val: float, j: int) -> Vector:
+        if val == 0.0:
+            return np.zeros_like(x)
+        return (x - self.centers[j]) / val
+
     def value(self, x: Vector) -> float:
-        x = as_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension differs from the centers")
+        x = _checked_point(self, x)
         val, _ = kernels.minmax_value(self.centers, x, self.sqnorms)
         return val
 
     def subgradient(self, x: Vector) -> Vector:
         """Unit vector toward x from the farthest center (lowest index on
         ties); the zero vector in the degenerate case x == a_j."""
-        x = as_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("point dimension differs from the centers")
-        val, j = kernels.minmax_value(self.centers, x, self.sqnorms)
-        if val == 0.0:
-            return np.zeros_like(x)
-        return (x - self.centers[j]) / val
+        return self.evaluate(x).gradient()
 
     def lower_bound(self) -> float:
         """max_{i<j} ||a_i - a_j|| / 2, valid for the unconstrained minimum."""
@@ -161,7 +195,7 @@ class MinMaxBallProblem:
         return 0.5 * best
 
     def oracle(self) -> FunctionOracle:
-        return FunctionOracle(self.value, self.subgradient)
+        return _ProblemOracle(self, self.subgradient)
 
     def prox_setup(self) -> ProxSetup:
         return ProxSetup(self.feasible)
@@ -201,15 +235,24 @@ class PLQuadratic:
     x_star: Vector
     f_star: float
 
+    def evaluate(self, x: Vector) -> Evaluation:
+        return least_squares(self.A, self.b, as_vector(x))
+
     def value(self, x: Vector) -> float:
-        r = self.A @ as_vector(x) - self.b
-        return 0.5 * float(np.dot(r, r))
+        return self.evaluate(x).value
 
     def gradient(self, x: Vector) -> Vector:
-        return self.A.T @ (self.A @ as_vector(x) - self.b)
+        return self.evaluate(x).gradient()
 
     def oracle(self) -> FunctionOracle:
-        return FunctionOracle(self.value, self.gradient, known_L=self.L)
+        return _ProblemOracle(self, self.gradient, known_L=self.L)
+
+
+def least_squares(A: np.ndarray, b: Vector, x: Vector) -> Evaluation:
+    """f(x) = 0.5 ||A x - b||^2 at ``x``; the gradient A^T r, when asked
+    for, reuses the residual r = A x - b."""
+    r = A @ x - b
+    return Evaluation(0.5 * float(np.dot(r, r)), 0.0, lambda: A.T @ r)
 
 
 def pl_quadratic_make(A, b) -> PLQuadratic:
@@ -245,7 +288,10 @@ class NoisyOracle(ModelOracle):
     Values drop by at most ``delta`` (uniform), gradients move by at most
     ``Delta`` in norm.  Each new query point draws a fresh perturbation;
     repeated model queries against the same anchor reuse the cached one,
-    matching how the solvers anchor the linear part per iteration.  The
+    matching how the solvers anchor the linear part per iteration.
+    ``evaluate`` draws the value noise when it is called and the gradient
+    noise when the evaluation's gradient is asked for, the order in which
+    ``value_inexact`` and ``model_gradient_at`` would draw them.  The
     gradient error degrades the lower model by an extra Delta per unit
     distance, so gamma accumulates accordingly.  The adversarial mode's
     ``direction`` is scaled to unit norm (drawn at random when omitted).
@@ -280,8 +326,17 @@ class NoisyOracle(ModelOracle):
         self.exact_values = self.delta == 0.0 and inner.exact_values
         self.has_composite = inner.has_composite
 
+    def evaluate(self, x: Vector) -> Evaluation:
+        ev = self.inner.evaluate(x)
+        f = self._noisy_value(ev.value)
+        if self.Delta == 0.0:
+            return Evaluation(f, ev.h, ev.gradient)
+        return Evaluation(f, ev.h, lambda: self._perturb(ev.gradient(), len(x)))
+
     def value_inexact(self, x: Vector) -> float:
-        f = self.inner.value_inexact(x)
+        return self._noisy_value(self.inner.value_inexact(x))
+
+    def _noisy_value(self, f: float) -> float:
         if self.delta == 0.0:
             return f
         return f - self.delta * float(self._rng.uniform())
@@ -290,26 +345,29 @@ class NoisyOracle(ModelOracle):
         if self.mode == "adversarial-fixed-direction":
             if self._direction is None:
                 d = self._rng.standard_normal(n)
-                self._direction = d / float(np.linalg.norm(d))
+                self._direction = d / norm(d)
             return self._direction
         d = self._rng.standard_normal(n)
-        nrm = float(np.linalg.norm(d))
+        nrm = norm(d)
         while nrm == 0.0:
             d = self._rng.standard_normal(n)
-            nrm = float(np.linalg.norm(d))
+            nrm = norm(d)
         return d / nrm
 
     def _gradient(self, x: Vector) -> Vector:
         g = self.inner.model_gradient_at(x)
         if self.Delta == 0.0:
             return g
-        u = self._unit_direction(len(x))
+        return self._perturb(g, len(x))
+
+    def _perturb(self, g: Vector, n: int) -> Vector:
+        u = self._unit_direction(n)
         if self.mode == "adversarial-fixed-direction":
             scale = self.Delta
         else:
             scale = self.Delta * float(self._rng.uniform())
         g_noisy = g + scale * u
-        err = float(np.linalg.norm(g_noisy - g))
+        err = norm(g_noisy - g)
         if not err <= self.Delta * (1.0 + 1e-12):
             raise ValueError(
                 f"gradient perturbation of norm {err!r} leaves the envelope "
@@ -359,19 +417,42 @@ class BallIndicator:
 
 
 class CompositeOracle(ModelOracle):
-    """Smooth part by value/gradient callables, nonsmooth part by prox."""
+    """Smooth part by value/gradient callables, nonsmooth part by prox.
+
+    ``evaluate_fn``, when given, is the smooth part's own ``evaluate``
+    (x -> ``Evaluation``), used where its value and gradient share work;
+    otherwise ``evaluate`` calls ``value_fn`` at once and ``gradient_fn``
+    on demand.  Either way it computes the penalty once per point.
+    """
 
     has_composite = True
 
-    def __init__(self, value_fn: Callable, gradient_fn: Callable, penalty, **meta):
+    def __init__(
+        self,
+        value_fn: Callable,
+        gradient_fn: Callable,
+        penalty,
+        *,
+        evaluate_fn: Optional[Callable[[Vector], Evaluation]] = None,
+        **meta,
+    ):
         super().__init__()
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
+        self._evaluate_smooth = evaluate_fn or self._evaluate_callables
         self.penalty = penalty
         for key, val in meta.items():
             if not hasattr(type(self), key):
                 raise TypeError(f"unknown oracle attribute {key!r}")
             setattr(self, key, val)
+
+    def _evaluate_callables(self, x: Vector) -> Evaluation:
+        return Evaluation(self._value_fn(x), 0.0, lambda: self._gradient_fn(x))
+
+    def evaluate(self, x: Vector) -> Evaluation:
+        smooth = self._evaluate_smooth(x)
+        h = self.composite_part(x)
+        return Evaluation(float(smooth.value) + h, h, lambda: as_vector(smooth.gradient()))
 
     def value_inexact(self, x: Vector) -> float:
         return float(self._value_fn(x)) + self.composite_part(x)
@@ -386,12 +467,14 @@ class CompositeOracle(ModelOracle):
         return self.penalty.prox(v, weight)
 
 
-def composite_oracle(value_fn, gradient_fn, penalty, **meta) -> CompositeOracle:
+def composite_oracle(
+    value_fn, gradient_fn, penalty, *, evaluate_fn=None, **meta
+) -> CompositeOracle:
     if not (hasattr(penalty, "value") and hasattr(penalty, "prox")):
         raise UnsupportedCombinationError(
             "composite penalty must provide value() and prox()"
         )
-    return CompositeOracle(value_fn, gradient_fn, penalty, **meta)
+    return CompositeOracle(value_fn, gradient_fn, penalty, evaluate_fn=evaluate_fn, **meta)
 
 
 def save_centers(centers: np.ndarray, path) -> None:

@@ -15,6 +15,7 @@ from modelgrad.core import (
     as_vector,
     bregman_divergence,
     check_oracle_conformance,
+    norm,
     project_ball,
     scale_triple,
 )
@@ -35,13 +36,11 @@ def test_as_vector_rejects_matrices_and_nonfinite():
         as_vector([np.inf])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # the fast check's sum overflows
 def test_as_vector_accepts_huge_finite_entries():
     v = as_vector([1e200, -1e200, 3.0])
     assert v[0] == 1e200 and v[1] == -1e200
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 3, 6])
 @pytest.mark.parametrize("fill", [1.0, 1e200])
@@ -50,6 +49,14 @@ def test_as_vector_rejects_nonfinite_anywhere(bad, where, fill):
     v[where] = bad
     with pytest.raises(ValueError, match="finite"):
         as_vector(v)
+
+
+def test_norm_equals_numpy_norm_bitwise():
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 1000):
+        for scale in (1e-200, 1.0, 1e150):
+            v = rng.standard_normal(n) * scale
+            assert norm(v) == float(np.linalg.norm(v))
 
 
 class TestFeasibleSet:

@@ -272,6 +272,28 @@ class TestCLI:
         assert len(lines) == 4
         assert "10" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "task, noise",
+        [
+            ("task1", ["--delta", "0.05"]),
+            ("task2", ["--delta", "0.05"]),
+            ("task1", ["--Delta", "0.05", "--delta", "0.01"]),
+        ],
+    )
+    def test_noisy_algo1_table1_starts_at_injected_levels(self, tmp_path, capsys, task, noise):
+        # with delta0 = Delta0 = 0 under injected noise these runs found no
+        # acceptable step within the trial cap after a few iterations
+        out = tmp_path / "table.csv"
+        rc = main(
+            ["table1", "--task", task, "--n", "200", "--m", "10", "--iters", "50..200",
+             "--reps", "3", "--solver", "algo1", *noise, "--out", str(out)]
+        )
+        assert rc == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        assert len(rows) == 4
+        assert all(np.isfinite(float(v)) for row in rows for v in row.split(","))
+        capsys.readouterr()
+
     def test_table1_rejects_non_geometric_task(self, capsys):
         rc = main(["table1", "--task", "pl-quadratic"])
         assert rc == 2
