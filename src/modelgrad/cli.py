@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import check_oracle_conformance
+from .core import NonTerminationError, check_oracle_conformance
 from .harness import (
     ConfigError,
     ExperimentSpec,
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, NonTerminationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

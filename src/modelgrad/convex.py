@@ -24,12 +24,12 @@ from .core import (
     CertificateUnavailableError,
     Evaluation,
     ModelOracle,
-    NonTerminationError,
     ProxSetup,
     UnsupportedCombinationError,
     Vector,
+    _acceptance_rhs,
     as_vector,
-    bregman_divergence,
+    backtrack,
     checked_gradient,
     checked_value,
 )
@@ -71,8 +71,8 @@ class ConvexConfig:
         object.__setattr__(self, "x0", as_vector(self.x0))
         if not (self.L0 > 0 and np.isfinite(self.L0)):
             raise ValueError("L0 must be positive and finite")
-        if self.delta0 < 0 or self.Delta0 < 0:
-            raise ValueError("delta0 and Delta0 must be nonnegative")
+        if not (0 <= self.delta0 < math.inf and 0 <= self.Delta0 < math.inf):
+            raise ValueError("delta0 and Delta0 must be nonnegative and finite")
         if self.N < 1:
             raise ValueError("N must be at least 1")
         if self.max_inner_per_iter < 1:
@@ -83,13 +83,14 @@ class ConvexConfig:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvexState:
-    """Mutable per-run state advanced by ``convex_iterate``."""
+    """Mutable per-run state, advanced one accepted step at a time by
+    ``convex_iterate`` or the restarted method and booked by ``_record``."""
 
     x: Vector
     f_x: float
-    triple: AdaptiveTriple
+    triple: tuple  # (L, delta, Delta) of the last accepted step, or the start values
     k: int = 0
     S: float = 0.0
     weighted_sum: Vector = None
@@ -141,11 +142,6 @@ class ConvexTrace:
         return np.minimum.accumulate(np.minimum(self.f_values, self.f0))
 
 
-def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
-    # shared spelling keeps the plain and the restart solvers bitwise equal
-    return f_k + psi + L * half_sq + Delta * step + delta
-
-
 def _require_linear_model(oracle: ModelOracle) -> None:
     """Refuse an oracle whose class overrides ``model``: ``model_step`` only
     solves the linear-plus-composite subproblem, and the solvers compute psi
@@ -174,10 +170,6 @@ def model_step(
     """
     if not L > 0:
         raise ValueError("L must be positive")
-    if setup.generator != ProxSetup.EUCLIDEAN:
-        raise UnsupportedCombinationError(
-            f"no subproblem solver for generator {setup.generator!r}"
-        )
     if g is None:
         g = oracle.model_gradient_at(x_k)
     if len(g) != len(x_k):
@@ -205,6 +197,21 @@ def _trial(oracle, setup, x_k, anchor, g, L, k):
     if oracle.has_composite:
         psi += trial.h - anchor.h
     return x_next, trial, psi, sq, math.sqrt(sq)
+
+
+def _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k):
+    """The trial ``backtrack`` makes for algo1 and restart phase 1: the
+    model step at L, kept (as ``_trial``'s tuple) when it passes the
+    acceptance inequality at (L, delta, Delta)."""
+
+    def attempt(L, delta, Delta):
+        result = _trial(oracle, setup, x_k, anchor, g, L, k)
+        _, trial, psi, sq, step = result
+        if trial.value <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta, delta):
+            return result
+        return None
+
+    return attempt
 
 
 def acceptance_test(
@@ -238,45 +245,47 @@ def convex_iterate(
     """Advance the run by one accepted step.
 
     Halves the triple once, then alternates subproblem solves with
-    acceptance tests, doubling the triple after each rejection.  The
-    anchor's gradient comes from ``state.anchor`` (the accepted trial's
-    evaluation), which is queried at ``state.x`` when missing.  Raises
-    ``NonTerminationError`` when ``cap`` trials pass without acceptance and
-    ``NonFiniteOracleError`` at the first NaN or infinite value or gradient.
+    acceptance tests through ``backtrack``, doubling the triple after each
+    rejection.  The anchor's gradient comes from ``state.anchor`` (the
+    accepted trial's evaluation), which is queried at ``state.x`` when
+    missing.  Raises ``NonTerminationError`` when ``cap`` trials pass
+    without acceptance and ``NonFiniteOracleError`` at the first NaN or
+    infinite value or gradient.
     """
     _require_linear_model(oracle)
-    t = state.triple.halved()
+    k = state.k
     x_k = state.x
-    f_k = checked_value(state.f_x, state.k)
+    f_k = checked_value(state.f_x, k)
     anchor = state.anchor if state.anchor is not None else oracle.evaluate(x_k)
-    g = checked_gradient(anchor.gradient(), state.k)
-    inner = 0
-    while True:
-        inner += 1
-        if inner > cap:
-            raise NonTerminationError(
-                f"no acceptance after {cap} trials at iteration {state.k}"
-                f" (last triple {t})",
-                state.k,
-                t,
-                cap,
-            )
-        x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, t.L, state.k)
-        f_next = trial.value
-        if f_next <= _acceptance_rhs(f_k, psi, t.L, 0.5 * sq, step, t.Delta, t.delta):
-            break
-        t = t.doubled()
+    g = checked_gradient(anchor.gradient(), k)
+    L, delta, Delta = state.triple
+    (x_next, trial, _, _, step), L, delta, Delta, inner = backtrack(
+        _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k),
+        0.5 * L,
+        0.5 * delta,
+        0.5 * Delta,
+        math.inf,
+        cap,
+        k,
+    )
+    _record(state, x_next, trial, L, delta, Delta, step, inner)
+    return state
 
-    w = 1.0 / t.L
+
+def _record(state, x_next, trial, L, delta, Delta, step, inner):
+    """Book the step to ``x_next`` (evaluated as ``trial``), accepted at
+    (L, delta, Delta) after ``inner`` trials, into ``state``."""
+    f_next = trial.value
+    w = 1.0 / L
     state.S += w
     state.weighted_sum += w * x_next
-    state.noise_sum += (t.delta + t.Delta * step) * w
+    state.noise_sum += (delta + Delta * step) * w
     state.total_inner_calls += inner
     state.k += 1
     state.f_values.append(f_next)
-    state.L_hist.append(t.L)
-    state.delta_hist.append(t.delta)
-    state.Delta_hist.append(t.Delta)
+    state.L_hist.append(L)
+    state.delta_hist.append(delta)
+    state.Delta_hist.append(Delta)
     state.inner_hist.append(inner)
     state.step_hist.append(step)
     if state.iterates is not None:
@@ -287,8 +296,7 @@ def convex_iterate(
     state.x = x_next
     state.f_x = f_next
     state.anchor = trial
-    state.triple = t
-    return state
+    state.triple = (L, delta, Delta)
 
 
 def _init_state(config: ConvexConfig, oracle: ModelOracle) -> ConvexState:
@@ -298,7 +306,7 @@ def _init_state(config: ConvexConfig, oracle: ModelOracle) -> ConvexState:
     state = ConvexState(
         x=x0,
         f_x=f0,
-        triple=AdaptiveTriple(config.L0, config.delta0, config.Delta0),
+        triple=(config.L0, config.delta0, config.Delta0),
         anchor=anchor,
         weighted_sum=np.zeros_like(x0),
         best_f=f0,
@@ -340,6 +348,14 @@ def convex_minimize(
     epsilon configured, gamma = 0, and the value inexactness known (zero
     for exact oracles).
     """
+    cap = config.max_inner_per_iter
+    return _run(config, oracle, setup, lambda state: convex_iterate(state, oracle, setup, cap))
+
+
+def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -> ConvexTrace:
+    """Drive ``advance(state)``, which takes one accepted step, for up to
+    N steps; after each, record the certificate and the elapsed time and
+    check the early stop.  Shared by algo1 and the restarted method."""
     _require_linear_model(oracle)
     if not setup.feasible.contains(config.x0):
         raise ValueError("x0 lies outside the feasible set")
@@ -357,7 +373,7 @@ def convex_minimize(
     stopped_early = False
     t_start = time.perf_counter()
     for _ in range(config.N):
-        convex_iterate(state, oracle, setup, config.max_inner_per_iter)
+        advance(state)
         if config.R is not None:
             cert = (config.R**2 + state.noise_sum) / state.S + (report_delta or 0.0)
         else:

@@ -68,9 +68,9 @@ class InconsistentTraceError(ValueError):
 class NonTerminationError(RuntimeError):
     """An inner acceptance loop exhausted its trial cap.
 
-    Carries the iteration index and the last tried parameter triple so the
-    failing regime (typically an objective outside the assumed smoothness
-    class) can be inspected.
+    Carries the iteration index and the ``(L, delta, Delta)`` triple the
+    loop would have tried next, so the failing regime (typically an
+    objective outside the assumed smoothness class) can be inspected.
     """
 
     def __init__(self, message: str, iteration: int, triple, inner_calls: int):
@@ -220,10 +220,6 @@ def bregman_divergence(setup: ProxSetup, y: Vector, x: Vector) -> float:
     """
     if len(y) != len(x):
         raise DimensionMismatchError("arguments live in different dimensions")
-    if setup.generator != ProxSetup.EUCLIDEAN:
-        raise UnsupportedCombinationError(
-            f"no divergence for generator {setup.generator!r}"
-        )
     d = y - x
     return 0.5 * float(np.dot(d, d))
 
@@ -279,6 +275,44 @@ def scale_triple(t: AdaptiveTriple, factor: float) -> AdaptiveTriple:
     if factor not in (0.5, 2.0):
         raise ValueError("factor must be 0.5 or 2")
     return AdaptiveTriple(t.L * factor, t.delta * factor, t.Delta * factor)
+
+
+def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
+    """Right side f(x) + psi + L V + Delta ||x+ - x|| + delta of the
+    acceptance inequality, spelled once so that the three solvers and
+    their test helpers compare bitwise the same float."""
+    return f_k + psi + L * half_sq + Delta * step + delta
+
+
+def backtrack(attempt, L, delta, Delta, Delta_max, cap, k):
+    """The solvers' shared double-until-accepted loop.
+
+    Calls ``attempt(L, delta, Delta)`` until it returns something other
+    than None, growing the constants to (2L, 2 delta, min(2 Delta,
+    Delta_max)) after each rejection: ``Delta_max`` is infinite for a
+    freely growing Delta and equal to ``Delta`` for a frozen one.  Returns
+    (the attempt's result, L, delta, Delta, trials) for the accepting
+    call.  Raises ``NonTerminationError`` at iteration ``k`` after ``cap``
+    rejections.
+    """
+    trials = 0
+    while trials < cap:
+        trials += 1
+        result = attempt(L, delta, Delta)
+        if result is not None:
+            return result, L, delta, Delta, trials
+        L *= 2.0
+        delta *= 2.0
+        Delta *= 2.0
+        if Delta > Delta_max:
+            Delta = Delta_max
+    triple = (L, delta, Delta)
+    raise NonTerminationError(
+        f"no acceptance after {cap} trials at iteration {k} (next triple {triple})",
+        k,
+        triple,
+        cap,
+    )
 
 
 class Evaluation:

@@ -23,7 +23,7 @@ import numpy as np
 from .core import FeasibleSet, ModelOracle, ProxSetup, Vector, as_vector
 from .convex import ConvexConfig, ConvexTrace, convex_minimize
 from .nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from .pl import PLConfig, PLTrace, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
+from .pl import PLConfig, PLTrace, _factors, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
 from .problems import (
     L1Penalty,
     NoisyOracle,
@@ -443,7 +443,6 @@ def _solve(spec: ExperimentSpec, problem, oracle, setup):
             C=spec.C,
             mu=problem.mu,
             Delta_cap=spec.Delta if spec.Delta > 0 else None,
-            f_star=problem.f_star,
             store_iterates=False,
         )
         return pl_minimize(cfg, oracle), None
@@ -468,40 +467,30 @@ def run_single(spec: ExperimentSpec, rep_seed: Optional[int] = None):
     return _solve(spec, problem, oracle, setup)
 
 
-def _estimates_at(trace, spec: ExperimentSpec, extra) -> dict:
-    """Per-checkpoint estimate plus auxiliary quality readings."""
+def _estimates_at(trace, spec: ExperimentSpec, extra: float) -> dict:
+    """Per-checkpoint estimate plus auxiliary quality readings.
+
+    ``extra`` is subtracted from the values: the lower bound for the
+    geometric tasks, f* for pl-quadratic and zero for composite.  The
+    geometric tasks estimate with the certificate and read the best value
+    on the side; the others estimate with the best value and read the last.
+    """
     grid = spec.iteration_grid
-    out = {"estimate": [], "aux_gap": [], "time_ms": []}
+    if trace.N_run == 0:  # algo2 at the noise floor from the start
+        gap0 = float(trace.f0 - extra)
+        return {"estimate": [gap0] * len(grid), "aux_gap": [gap0] * len(grid),
+                "time_ms": [0.0] * len(grid)}
+    best = np.minimum.accumulate(np.minimum(trace.f_values, trace.f0)) - extra
     if spec.task in ("task1", "task2"):
-        f_best = trace.f_best_running()
-        lb = extra  # lower bound for the best-value gap
-        for g in grid:
-            k = min(g, trace.N_run) - 1
-            out["estimate"].append(float(trace.cert_hist[k]))
-            out["aux_gap"].append(float(f_best[k] - lb))
-            out["time_ms"].append(float(trace.elapsed_ms[k]))
-    elif spec.task == "pl-quadratic":
-        f_star = extra
-        if trace.N_run == 0:
-            for _ in grid:
-                out["estimate"].append(float(trace.f0 - f_star))
-                out["aux_gap"].append(float(trace.f0 - f_star))
-                out["time_ms"].append(0.0)
-            return out
-        best = np.minimum.accumulate(np.minimum(trace.f_values, trace.f0))
-        for g in grid:
-            k = min(g, trace.N_run) - 1
-            out["estimate"].append(float(best[k] - f_star))
-            out["aux_gap"].append(float(trace.f_values[k] - f_star))
-            out["time_ms"].append(float(trace.elapsed_ms[k]))
+        estimate, aux = trace.cert_hist, best
     else:
-        best = np.minimum.accumulate(np.minimum(trace.f_values, trace.f0))
-        for g in grid:
-            k = min(g, trace.N_run) - 1
-            out["estimate"].append(float(best[k]))
-            out["aux_gap"].append(float(trace.f_values[k]))
-            out["time_ms"].append(float(trace.elapsed_ms[k]))
-    return out
+        estimate, aux = best, trace.f_values - extra
+    ks = [min(g, trace.N_run) - 1 for g in grid]
+    return {
+        "estimate": [float(estimate[k]) for k in ks],
+        "aux_gap": [float(aux[k]) for k in ks],
+        "time_ms": [float(trace.elapsed_ms[k]) for k in ks],
+    }
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -530,7 +519,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             cells = _estimates_at(trace, spec, problem.f_star)
             f_hat_final.append(float(trace.f_final))
         else:
-            cells = _estimates_at(trace, spec, None)
+            cells = _estimates_at(trace, spec, 0.0)
             f_hat_final.append(float(trace.f_values[-1]))
         est[r] = cells["estimate"]
         gaps[r] = cells["aux_gap"]
@@ -581,7 +570,6 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
                 C=spec.C,
                 mu=problem.mu,
                 Delta_cap=cap,
-                f_star=problem.f_star,
                 store_iterates=False,
                 adapt_Delta=adapt,
             )
@@ -595,13 +583,7 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
         na_bounds.append(bound_na)
         a_gaps.append(float(tr_a.f_final - problem.f_star))
         na_gaps.append(float(tr_na.f_final - problem.f_star))
-        num = np.maximum(tr_a.g_norms - tr_a.Delta_hist, 0.0)
-        den = tr_a.g_norms + spec.Delta
-        factor_traces.append(
-            1.0 - (problem.mu / tr_a.L_hist) * np.divide(
-                num, den, out=np.zeros_like(num), where=den > 0
-            ) ** 2
-        )
+        factor_traces.append(_factors(tr_a, problem.mu, spec.Delta, tr_a.Delta_hist))
         gap0 = problem.value(np.zeros(spec.n)) - problem.f_star
         prefix = np.cumprod(factor_traces[-1])
         for i, g in enumerate(grid):

@@ -17,7 +17,6 @@ stalling when iterates approach kinks.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,10 +28,18 @@ from .core import (
     NonTerminationError,
     ProxSetup,
     Vector,
+    backtrack,
     checked_gradient,
     checked_value,
 )
-from .convex import ConvexConfig, ConvexTrace, _acceptance_rhs, _require_linear_model, _trial
+from .convex import (
+    ConvexConfig,
+    _acceptance_attempt,
+    _record,
+    _require_linear_model,
+    _run,
+    _trial,
+)
 
 __all__ = [
     "NonsmoothConfig",
@@ -142,25 +149,18 @@ def _restart_step(
     """
     f_k = checked_value(anchor.value, k)
     g = checked_gradient(anchor.gradient(), k)
-    L = L_start
-    trials = 0
 
     # Phase 1: plain acceptance at the frozen Delta; identical trial
     # sequence to the convex solver when Delta_fixed = 0.
-    while True:
-        trials += 1
-        if trials > inner_cap:
-            raise NonTerminationError(
-                f"no acceptance after {inner_cap} trials at iteration {k}"
-                f" (L reached {L})",
-                k,
-                None,
-                inner_cap,
-            )
-        x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, L, k)
-        if trial.value <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta_fixed, 0.0):
-            break
-        L *= 2.0
+    (x_next, trial, psi, sq, step), L, _, _, trials = backtrack(
+        _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k),
+        L_start,
+        0.0,
+        Delta_fixed,
+        Delta_fixed,
+        inner_cap,
+        k,
+    )
 
     # Phase 2: keep Delta frozen, double L until one of the two exits.
     # With no supplied class constant the smooth threshold anchors at the
@@ -222,93 +222,25 @@ def nonsmooth_minimize(
         raise ValueError("the restarted method requires exact objective values")
     if oracle.gamma != 0:
         raise ValueError("the restarted method requires a tight lower model")
-    _require_linear_model(oracle)
-    base = config.base
-    if not setup.feasible.contains(base.x0):
-        raise ValueError("x0 lies outside the feasible set")
-
-    x = base.x0
-    anchor = oracle.evaluate(x)
-    f0 = anchor.value
     records = []
-    S = 0.0
-    weighted_sum = np.zeros_like(x)
-    noise_sum = 0.0
-    total_inner = 0
-    best_f, best_x = f0, x
-    f_values, L_hist, delta_hist, Delta_hist = [], [], [], []
-    inner_hist, step_hist, cert_hist, elapsed_hist = [], [], [], []
-    iterates = [x] if base.store_iterates else None
 
-    L_carry = base.L0
-    stopped_early = False
-    t_start = time.perf_counter()
-    for k in range(base.N):
-        L_start = 0.5 * L_carry
-        x_next, anchor, step, L_final, p_used, reason, trials = _restart_step(
+    def restart(state):
+        k = state.k
+        x_next, trial, step, L, p_used, reason, trials = _restart_step(
             oracle,
             setup,
-            x,
-            anchor,
-            L_start,
+            state.x,
+            state.anchor,
+            0.5 * state.triple[0],
             config.Delta_known,
             config.epsilon,
             config.p_cap,
             config.L_class,
             k,
-            base.max_inner_per_iter,
+            config.base.max_inner_per_iter,
         )
-        records.append(
-            RestartRecord(k=k, p_used=p_used, stop_reason=reason, final_L=L_final)
-        )
-        f_next = anchor.value
+        records.append(RestartRecord(k, p_used, reason, L))  # keywords would double its cost
         Delta_eff = config.Delta_known if reason == STOP_DELTA_TERM else 0.0
-        w = 1.0 / L_final
-        S += w
-        weighted_sum += w * x_next
-        noise_sum += Delta_eff * step * w
-        total_inner += trials
-        f_values.append(f_next)
-        L_hist.append(L_final)
-        delta_hist.append(0.0)
-        Delta_hist.append(Delta_eff)
-        inner_hist.append(trials)
-        step_hist.append(step)
-        if iterates is not None:
-            iterates.append(x_next)
-        if f_next < best_f:
-            best_f, best_x = f_next, x_next
-        x = x_next
-        L_carry = L_final
+        _record(state, x_next, trial, L, 0.0, Delta_eff, step, trials)
 
-        if base.R is not None:
-            cert = (base.R**2 + noise_sum) / S
-        else:
-            cert = math.nan
-        cert_hist.append(cert)
-        elapsed_hist.append((time.perf_counter() - t_start) * 1e3)
-        if base.R is not None and base.epsilon is not None and cert <= base.epsilon:
-            stopped_early = True
-            break
-
-    trace = ConvexTrace(
-        x0=base.x0,
-        f0=f0,
-        f_values=np.asarray(f_values),
-        L_hist=np.asarray(L_hist),
-        delta_hist=np.asarray(delta_hist),
-        Delta_hist=np.asarray(Delta_hist),
-        inner_hist=np.asarray(inner_hist, dtype=np.int64),
-        step_norms=np.asarray(step_hist),
-        cert_hist=np.asarray(cert_hist),
-        elapsed_ms=np.asarray(elapsed_hist),
-        S_N=S,
-        x_hat=weighted_sum / S,
-        x_final=x,
-        total_inner_calls=total_inner,
-        best_f=best_f,
-        best_x=best_x,
-        stopped_early=stopped_early,
-        iterates=iterates,
-    )
-    return trace, records
+    return _run(config.base, oracle, setup, restart), records

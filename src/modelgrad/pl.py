@@ -27,7 +27,9 @@ from .core import (
     ModelOracle,
     NonTerminationError,
     Vector,
+    _acceptance_rhs,
     as_vector,
+    backtrack,
     checked_gradient,
     checked_value,
     norm,
@@ -79,7 +81,6 @@ class PLConfig:
     C: float = 3.0
     mu: Optional[float] = None
     Delta_cap: Optional[float] = None
-    f_star: Optional[float] = None
     max_inner_per_iter: int = 100
     store_iterates: bool = True
     adapt_Delta: bool = True
@@ -183,18 +184,16 @@ def pl_acceptance(
     lin = float(np.dot(g, d))
     f_k = oracle.value_inexact(x_k)
     f_next = oracle.value_inexact(x_next)
-    return f_next <= f_k + lin + L * (0.5 * sq) + Delta * step + delta
-
-
-def _clamped(value: float, cap: Optional[float]) -> float:
-    return value if cap is None else min(value, cap)
+    return f_next <= _acceptance_rhs(f_k, lin, L, 0.5 * sq, step, Delta, delta)
 
 
 def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     """Run the adaptive damped-descent method; output is the last iterate.
 
     Each point is evaluated once: the accepted trial's evaluation gives the
-    next iteration's gradient.
+    next iteration's gradient.  The run stops at the floor as soon as the
+    gradient-error estimate reaches the observed gradient norm, even when
+    that happens on the growth after the trial cap's last rejection.
     """
     x = config.x0
     ev = oracle.evaluate(x)
@@ -207,10 +206,10 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     iterates = [x] if config.store_iterates else None
 
     L_cur = config.L0
-    Dl_cur = _clamped(config.Delta0, config.Delta_cap)
+    Delta_cap = math.inf if config.Delta_cap is None else config.Delta_cap
+    Dl_cur = min(config.Delta0, Delta_cap)
     dl_cur = config.delta0
-    termination = TERM_COMPLETED
-    final_g_norm = math.nan
+    Delta_max = Delta_cap if config.adapt_Delta else Dl_cur  # a frozen estimate never grows
     t_start = time.perf_counter()
 
     def _partial(term, gn_last):
@@ -234,6 +233,21 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             iterates=iterates,
         )
 
+    def attempt(L, delta, Delta):
+        # reads x, g_vec, gn, f_x and k of the current iteration
+        h = pl_step_size(L, Delta, gn)
+        x_next = x - h * g_vec
+        d = x_next - x
+        sq = float(np.dot(d, d))
+        trial = oracle.evaluate(x_next)
+        f_next = checked_value(trial.value, k)
+        lin = float(np.dot(g_vec, d))
+        if f_next <= _acceptance_rhs(f_x, lin, L, 0.5 * sq, math.sqrt(sq), Delta, delta):
+            return x_next, trial, h
+        if gn <= min(2.0 * Delta, Delta_max):  # the Delta backtrack would try next
+            return TERM_FLOOR
+        return None
+
     for k in range(config.N):
         checked_value(f_x, k)
         g_vec = ev.gradient()
@@ -243,43 +257,20 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         L_cur *= 0.5
         dl_cur *= 0.5
         if config.adapt_Delta:
-            Dl_cur = _clamped(Dl_cur * 0.5, config.Delta_cap)
+            Dl_cur *= 0.5
         if gn <= Dl_cur:
-            termination = TERM_FLOOR
-            final_g_norm = gn
-            return _partial(termination, final_g_norm)
-
-        inner = 0
-        while True:
-            inner += 1
-            if inner > config.max_inner_per_iter:
-                err = NonTerminationError(
-                    f"no acceptance after {config.max_inner_per_iter} trials"
-                    f" at iteration {k} (L reached {L_cur})",
-                    k,
-                    None,
-                    config.max_inner_per_iter,
-                )
-                err.partial_trace = _partial(TERM_COMPLETED, gn)
-                raise err
-            h = pl_step_size(L_cur, Dl_cur, gn)
-            x_next = x - h * g_vec
-            d = x_next - x
-            sq = float(np.dot(d, d))
-            step = math.sqrt(sq)
-            lin = float(np.dot(g_vec, d))
-            trial = oracle.evaluate(x_next)
-            f_next = checked_value(trial.value, k)
-            if f_next <= f_x + lin + L_cur * (0.5 * sq) + Dl_cur * step + dl_cur:
-                break
-            L_cur *= 2.0
-            dl_cur *= 2.0
-            if config.adapt_Delta:
-                Dl_cur = _clamped(Dl_cur * 2.0, config.Delta_cap)
-                if gn <= Dl_cur:
-                    termination = TERM_FLOOR
-                    final_g_norm = gn
-                    return _partial(termination, final_g_norm)
+            return _partial(TERM_FLOOR, gn)
+        try:
+            result, L_cur, dl_cur, Dl_cur, inner = backtrack(
+                attempt, L_cur, dl_cur, Dl_cur, Delta_max, config.max_inner_per_iter, k
+            )
+        except NonTerminationError as err:
+            err.partial_trace = _partial(TERM_COMPLETED, gn)
+            raise
+        if result is TERM_FLOOR:
+            return _partial(TERM_FLOOR, gn)
+        x_next, trial, h = result
+        f_next = trial.value
 
         f_values.append(f_next)
         g_norms.append(gn)
@@ -295,8 +286,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             best_f = f_next
         x, f_x, ev = x_next, f_next, trial
 
-    final_g_norm = norm(ev.gradient())
-    return _partial(termination, final_g_norm)
+    return _partial(TERM_COMPLETED, norm(ev.gradient()))
 
 
 def _factors(trace: PLTrace, mu: float, Delta: float, Delta_hist) -> np.ndarray:

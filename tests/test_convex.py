@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelgrad.convex import (
     ConvexConfig,
@@ -128,6 +130,11 @@ class TestConvexMinimize:
         config = ConvexConfig(x0=np.array([3.0, 0.0]))
         with pytest.raises(ValueError):
             convex_minimize(config, quadratic_oracle(), setup)
+
+    @pytest.mark.parametrize("levels", [{"delta0": -0.1}, {"Delta0": np.inf}, {"delta0": np.nan}])
+    def test_config_refuses_negative_or_nonfinite_noise_levels(self, levels):
+        with pytest.raises(ValueError):
+            ConvexConfig(x0=np.zeros(2), **levels)
 
     def test_liar_oracle_exhausts_inner_cap(self):
         # constant value with a nonzero reported gradient can never satisfy
@@ -264,6 +271,31 @@ class TestInnerCallBudget:
 
     def test_terms_clamp_at_zero(self):
         assert inner_call_budget(5, 8.0, 0.0, 0.0, 1.0, 0.0, 0.0) == 10
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(0, 4),
+        st.floats(1e-3, 1e3),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_least_squares_runs_stay_within_budget(self, seed, n, extra_rows, L0, N):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n + extra_rows, n))
+        prob = pl_quadratic_make(A, A @ rng.standard_normal(n))
+        config = ConvexConfig(x0=rng.standard_normal(n), L0=L0, N=N)
+        trace = convex_minimize(config, prob.oracle(), WHOLE)
+        assert trace.total_inner_calls == trace.inner_hist.sum()
+        # The systems are consistent, so f* = 0.  Once f is down to rounding
+        # error the acceptance test compares rounding errors, and a spurious
+        # rejection can push L past 2L; the bound holds for every prefix of a
+        # run, so it is checked on the steps before f falls to 1e-12 f0.
+        low = trace.f_values <= 1e-12 * trace.f0
+        K = int(np.argmax(low)) if low.any() else N
+        if K:
+            budget = inner_call_budget(K, L0, 0.0, 0.0, prob.L, 0.0, 0.0)
+            assert trace.inner_hist[:K].sum() <= budget
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

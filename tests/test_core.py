@@ -11,14 +11,19 @@ from modelgrad.core import (
     FunctionOracle,
     ModelOracle,
     ProxSetup,
+    NonTerminationError,
     UnsupportedCombinationError,
     as_vector,
+    backtrack,
     bregman_divergence,
     check_oracle_conformance,
     norm,
     project_ball,
     scale_triple,
 )
+from modelgrad.convex import ConvexConfig, convex_minimize
+from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
+from modelgrad.pl import PLConfig, pl_minimize
 
 
 def test_as_vector_accepts_lists_and_scalars():
@@ -174,6 +179,45 @@ class TestAdaptiveTriple:
         for _ in range(k):
             up = up.doubled()
         assert up.L == t.L and up.delta == t.delta and up.Delta == t.Delta
+
+
+class TestBacktrack:
+    def test_doubles_all_three_and_clamps_Delta(self):
+        tried = []
+
+        def attempt(L, delta, Delta):
+            tried.append((L, delta, Delta))
+            return "accepted" if len(tried) == 4 else None
+
+        assert backtrack(attempt, 1.0, 0.5, 0.25, 1.0, 10, 0) == ("accepted", 8.0, 4.0, 1.0, 4)
+        assert tried == [(1.0, 0.5, 0.25), (2.0, 1.0, 0.5), (4.0, 2.0, 1.0), (8.0, 4.0, 1.0)]
+
+    # constant value, nonzero gradient: no trial is ever accepted
+    @pytest.mark.parametrize(
+        "solve, next_triple",
+        [
+            (lambda oracle, cap: convex_minimize(
+                ConvexConfig(x0=np.zeros(2), N=3, max_inner_per_iter=cap),
+                oracle, ProxSetup(FeasibleSet.whole_space())),
+             (32.0, 0.0, 0.0)),
+            (lambda oracle, cap: nonsmooth_minimize(
+                NonsmoothConfig(base=ConvexConfig(x0=np.zeros(2), N=3, max_inner_per_iter=cap),
+                                epsilon=0.1, Delta_known=0.4),
+                oracle, ProxSetup(FeasibleSet.whole_space())),
+             (32.0, 0.0, 0.4)),
+            (lambda oracle, cap: pl_minimize(
+                PLConfig(x0=np.zeros(2), N=3, max_inner_per_iter=cap), oracle),
+             (32.0, 0.0, 0.0)),
+        ],
+        ids=["algo1", "nonsmooth", "algo2"],
+    )
+    def test_each_solver_cap_failure_carries_its_state(self, solve, next_triple):
+        oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
+        with pytest.raises(NonTerminationError) as info:
+            solve(oracle, 6)
+        assert info.value.iteration == 0
+        assert info.value.inner_calls == 6
+        assert info.value.triple == next_triple
 
 
 class TestModelOracle:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from modelgrad import cli
 from modelgrad.cli import main
+from modelgrad.core import NonTerminationError
 from modelgrad.harness import (
     TABLE_COLUMNS,
     TRACE_COLUMNS,
@@ -331,6 +333,15 @@ class TestCLI:
         rc = main(["solve", "--config", str(cfg)])
         assert rc == 2
         assert capsys.readouterr().err != ""
+
+    def test_solver_failure_exits_2(self, monkeypatch, capsys):
+        def fail(spec):
+            raise NonTerminationError("no acceptance after 3 trials at iteration 0", 0, None, 3)
+
+        monkeypatch.setattr(cli, "run_single", fail)
+        rc = main(["solve", "--task", "task1", "--n", "4", "--m", "2", "--iters", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no acceptance after 3 trials at iteration 0\n"
 
     def test_missing_task_exits_2(self, capsys):
         rc = main(["solve"])

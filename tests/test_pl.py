@@ -167,6 +167,20 @@ class TestMinimize:
         assert info.value.partial_trace.N_run == 0
         assert info.value.partial_trace.f0 == 1.0
 
+    def test_floor_on_the_last_growth_beats_the_cap(self):
+        # |g| = 1 and the rejections grow Delta from 0.04 by doubling: the
+        # fifth lifts it to 1.28, past |g|, so a cap of five trials ends at
+        # the floor, while a cap of four runs out with Delta at 0.64
+        oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
+        config = PLConfig(x0=np.zeros(2), Delta0=0.08, N=3, max_inner_per_iter=5)
+        trace = pl_minimize(config, oracle)
+        assert trace.termination == TERM_FLOOR
+        assert trace.N_run == 0
+        config = PLConfig(x0=np.zeros(2), Delta0=0.08, N=3, max_inner_per_iter=4)
+        with pytest.raises(NonTerminationError) as info:
+            pl_minimize(config, oracle)
+        assert info.value.inner_calls == 4
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), L0=0.0)
