@@ -221,8 +221,9 @@ def _cmd_check(args) -> int:
     worst_g, worst_v = 0.0, 0.0
     for _ in range(500):
         x = rng.standard_normal(n)
-        g_err = float(np.linalg.norm(noisy.model_gradient_at(x) - quad.gradient(x)))
-        v_err = quad.value(x) - noisy.value_inexact(x)
+        ev = noisy.evaluate(x)
+        g_err = float(np.linalg.norm(ev.gradient() - quad.gradient(x)))
+        v_err = quad.value(x) - ev.value
         worst_g = max(worst_g, g_err)
         worst_v = max(worst_v, abs(v_err) if v_err < 0 else 0.0, v_err - delta)
     ok &= _report(

@@ -2,10 +2,9 @@
 
 Vectors are plain 1-D float64 numpy arrays validated on entry by
 ``as_vector``.  The remaining pieces are small immutable values: the
-feasible set, the distance-generating setup, and the jointly scaled
-``(L, delta, Delta)`` parameter triple.  ``ModelOracle`` is the contract
-every objective implements: an inexact value, a model of the objective
-around a point, and metadata consumed by certificates and budget
+feasible set and the distance-generating setup.  ``ModelOracle`` is the
+contract every objective implements: an inexact value, a model of the
+objective around a point, and metadata consumed by certificates and budget
 formulas (never by the adaptive loops themselves).  ``Evaluation`` is one
 oracle query at a point, which the solvers carry from the accepted trial to
 the next iteration's anchor.
@@ -38,13 +37,11 @@ __all__ = [
     "NonFiniteOracleError",
     "FeasibleSet",
     "ProxSetup",
-    "AdaptiveTriple",
     "Evaluation",
     "ModelOracle",
     "FunctionOracle",
     "bregman_divergence",
     "project_ball",
-    "scale_triple",
     "check_oracle_conformance",
 ]
 
@@ -242,45 +239,10 @@ def project_ball(x: Vector, center: Vector, radius: float) -> Vector:
     return center + d * radius / dist
 
 
-@dataclass(frozen=True)
-class AdaptiveTriple:
-    """Jointly scaled smoothness/noise parameters (L, delta, Delta).
-
-    The solvers only ever halve or double the whole triple, so the ratios
-    delta/L and Delta/L are preserved exactly (powers of two are exact in
-    binary floating point).
-    """
-
-    L: float
-    delta: float = 0.0
-    Delta: float = 0.0
-
-    def __post_init__(self):
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ValueError("L must be positive and finite")
-        if self.delta < 0 or not math.isfinite(self.delta):
-            raise ValueError("delta must be nonnegative and finite")
-        if self.Delta < 0 or not math.isfinite(self.Delta):
-            raise ValueError("Delta must be nonnegative and finite")
-
-    def halved(self) -> "AdaptiveTriple":
-        return scale_triple(self, 0.5)
-
-    def doubled(self) -> "AdaptiveTriple":
-        return scale_triple(self, 2.0)
-
-
-def scale_triple(t: AdaptiveTriple, factor: float) -> AdaptiveTriple:
-    """Scale all three parameters by ``factor``, which must be 0.5 or 2."""
-    if factor not in (0.5, 2.0):
-        raise ValueError("factor must be 0.5 or 2")
-    return AdaptiveTriple(t.L * factor, t.delta * factor, t.Delta * factor)
-
-
 def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
     """Right side f(x) + psi + L V + Delta ||x+ - x|| + delta of the
-    acceptance inequality, spelled once so that the three solvers and
-    their test helpers compare bitwise the same float."""
+    acceptance inequality, spelled once so that the three solvers compare
+    bitwise the same float."""
     return f_k + psi + L * half_sq + Delta * step + delta
 
 
@@ -354,10 +316,9 @@ class ModelOracle:
     The solvers query the oracle through ``evaluate``, once per point, and
     take the anchor gradient from the accepted point's evaluation.  An
     oracle whose value and gradient share work overrides ``evaluate``.
-
-    ``model`` memoizes the gradient per anchor point, keyed by object
-    identity, so repeated model evaluations against one anchor reuse a
-    single oracle query.
+    The oracle keeps no state between queries: ``model`` asks for the
+    gradient at ``x`` on every call, and the only memoized gradient is the
+    one an ``Evaluation`` holds for its caller.
     """
 
     gamma: float = 0.0
@@ -366,10 +327,6 @@ class ModelOracle:
     known_Delta: Optional[float] = None
     exact_values: bool = True
     has_composite: bool = False
-
-    def __init__(self):
-        self._anchor: Optional[Vector] = None
-        self._anchor_gradient: Optional[Vector] = None
 
     def value_inexact(self, x: Vector) -> float:
         raise NotImplementedError
@@ -388,13 +345,6 @@ class ModelOracle:
         h = self.composite_part(x) if self.has_composite else 0.0
         return Evaluation(value, h, lambda: self._gradient(x))
 
-    def model_gradient_at(self, x: Vector) -> Vector:
-        """Vector defining the linear part of the model anchored at ``x``."""
-        if self._anchor is not x:
-            self._anchor_gradient = self._gradient(x)
-            self._anchor = x
-        return self._anchor_gradient
-
     def composite_part(self, y: Vector) -> float:
         return 0.0
 
@@ -408,7 +358,7 @@ class ModelOracle:
 
     def model(self, y: Vector, x: Vector) -> float:
         """psi(y, x): the model of f(y) - f(x) around the anchor ``x``."""
-        g = self.model_gradient_at(x)
+        g = self._gradient(x)
         if len(g) != len(y):
             raise DimensionMismatchError("model arguments live in different dimensions")
         val = float(np.dot(g, y - x))
@@ -434,7 +384,6 @@ class FunctionOracle(ModelOracle):
         known_delta: Optional[float] = None,
         known_Delta: Optional[float] = None,
     ):
-        super().__init__()
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
         self.gamma = float(gamma)
@@ -459,7 +408,8 @@ def check_oracle_conformance(
 
     Verifies psi(x, x) = 0 and midpoint convexity of psi(., x) on random
     triples.  Returns a list of human-readable violations (empty when the
-    oracle conforms).
+    oracle conforms).  Every ``model`` call queries the gradient afresh, so
+    an oracle that draws new gradient noise per query does not conform.
     """
     failures = []
     for i in range(min(trials, 100)):

@@ -614,7 +614,7 @@ def finite_diff_check(oracle: ModelOracle, x: Vector, h: float = 1e-6) -> float:
     if not h > 0:
         raise ValueError("h must be positive")
     x = as_vector(x)
-    g = oracle.model_gradient_at(x)
+    g = oracle.evaluate(x).gradient()
     worst = 0.0
     for i in range(len(x)):
         xp = x.copy()

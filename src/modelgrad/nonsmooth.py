@@ -36,7 +36,6 @@ from .convex import (
     ConvexConfig,
     _acceptance_attempt,
     _record,
-    _require_linear_model,
     _run,
     _trial,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "STOP_SMOOTH",
     "p_bound",
     "complexity_estimate",
-    "restart_inner",
     "nonsmooth_minimize",
 ]
 
@@ -185,27 +183,6 @@ def _restart_step(
         L *= 2.0
         trials += 1
         x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, L, k)
-
-
-def restart_inner(
-    oracle: ModelOracle,
-    setup: ProxSetup,
-    x_k: Vector,
-    L_start: float,
-    Delta_fixed: float,
-    epsilon: float,
-    p_cap: int = 64,
-    L_class: Optional[float] = None,
-    k: int = 0,
-    inner_cap: int = 100,
-):
-    """Public wrapper around one restart; returns (x_next, RestartRecord)."""
-    _require_linear_model(oracle)
-    anchor = oracle.evaluate(x_k)
-    x_next, _, _, L_final, p_used, reason, _ = _restart_step(
-        oracle, setup, x_k, anchor, L_start, Delta_fixed, epsilon, p_cap, L_class, k, inner_cap
-    )
-    return x_next, RestartRecord(k=k, p_used=p_used, stop_reason=reason, final_L=L_final)
 
 
 def nonsmooth_minimize(

@@ -43,7 +43,6 @@ __all__ = [
     "TERM_COMPLETED",
     "TERM_FLOOR",
     "pl_step_size",
-    "pl_acceptance",
     "pl_minimize",
     "pl_rate_bound",
     "pl_rate_bound_nonadaptive",
@@ -89,8 +88,8 @@ class PLConfig:
         object.__setattr__(self, "x0", as_vector(self.x0))
         if not (self.L0 > 0 and np.isfinite(self.L0)):
             raise ValueError("L0 must be positive and finite")
-        if self.Delta0 < 0 or self.delta0 < 0:
-            raise ValueError("Delta0 and delta0 must be nonnegative")
+        if not (0 <= self.delta0 < math.inf and 0 <= self.Delta0 < math.inf):
+            raise ValueError("delta0 and Delta0 must be nonnegative and finite")
         if self.N < 1:
             raise ValueError("N must be at least 1")
         if not self.C > 1:
@@ -107,7 +106,7 @@ class PLConfig:
                     self.L0,
                     2.0 * self.mu,
                 )
-        if self.Delta_cap is not None and self.Delta_cap < 0:
+        if self.Delta_cap is not None and not self.Delta_cap >= 0:
             raise ValueError("Delta_cap must be nonnegative when given")
         if self.max_inner_per_iter < 1:
             raise ValueError("max_inner_per_iter must be at least 1")
@@ -166,25 +165,6 @@ def pl_step_size(L: float, Delta: float, g_tilde: float) -> float:
             f"observed gradient norm {g_tilde} does not exceed Delta {Delta}"
         )
     return (1.0 / L) * (1.0 - Delta / g_tilde)
-
-
-def pl_acceptance(
-    oracle: ModelOracle,
-    x_k: Vector,
-    x_next: Vector,
-    L: float,
-    Delta: float,
-    delta: float = 0.0,
-) -> bool:
-    """Evaluate the descent acceptance inequality for a candidate step."""
-    g = oracle.model_gradient_at(x_k)
-    d = x_next - x_k
-    sq = float(np.dot(d, d))
-    step = math.sqrt(sq)
-    lin = float(np.dot(g, d))
-    f_k = oracle.value_inexact(x_k)
-    f_next = oracle.value_inexact(x_next)
-    return f_next <= _acceptance_rhs(f_k, lin, L, 0.5 * sq, step, Delta, delta)
 
 
 def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:

@@ -286,13 +286,12 @@ class NoisyOracle(ModelOracle):
     """Wraps an oracle with bounded value and gradient perturbations.
 
     Values drop by at most ``delta`` (uniform), gradients move by at most
-    ``Delta`` in norm.  Each new query point draws a fresh perturbation;
-    repeated model queries against the same anchor reuse the cached one,
-    matching how the solvers anchor the linear part per iteration.
-    ``evaluate`` draws the value noise when it is called and the gradient
-    noise when the evaluation's gradient is asked for, the order in which
-    ``value_inexact`` and ``model_gradient_at`` would draw them.  The
-    gradient error degrades the lower model by an extra Delta per unit
+    ``Delta`` in norm.  Every query draws fresh noise: two gradient queries
+    at the same point (two ``_gradient`` or ``model`` calls, or two
+    evaluations) see different perturbations, while one evaluation's
+    ``gradient()`` returns the same vector each time.  ``evaluate`` draws
+    the value noise when it is called and the gradient noise when the
+    evaluation's gradient is first asked for.  The gradient error degrades the lower model by an extra Delta per unit
     distance, so gamma accumulates accordingly.  The adversarial mode's
     ``direction`` is scaled to unit norm (drawn at random when omitted).
     """
@@ -308,7 +307,6 @@ class NoisyOracle(ModelOracle):
         seed=0,
         direction: Optional[Vector] = None,
     ):
-        super().__init__()
         if Delta < 0 or delta < 0:
             raise ValueError("Delta and delta must be nonnegative")
         if mode not in self.MODES:
@@ -355,7 +353,7 @@ class NoisyOracle(ModelOracle):
         return d / nrm
 
     def _gradient(self, x: Vector) -> Vector:
-        g = self.inner.model_gradient_at(x)
+        g = self.inner._gradient(x)
         if self.Delta == 0.0:
             return g
         return self._perturb(g, len(x))
@@ -436,7 +434,6 @@ class CompositeOracle(ModelOracle):
         evaluate_fn: Optional[Callable[[Vector], Evaluation]] = None,
         **meta,
     ):
-        super().__init__()
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
         self._evaluate_smooth = evaluate_fn or self._evaluate_callables

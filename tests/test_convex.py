@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from modelgrad.convex import (
     ConvexConfig,
     ConvexTrace,
-    acceptance_test,
     certificate_bound,
     convex_minimize,
     inner_call_budget,
     model_step,
 )
 from modelgrad.core import (
-    AdaptiveTriple,
     CertificateUnavailableError,
     FeasibleSet,
     FunctionOracle,
@@ -40,50 +38,59 @@ def quadratic_oracle(scale=1.0):
 
 class TestModelStep:
     def test_unconstrained_gradient_step(self):
-        x = model_step(linear_oracle([2.0, 0.0]), WHOLE, np.zeros(2), 4.0)
+        x = model_step(linear_oracle([2.0, 0.0]), WHOLE, np.zeros(2), 4.0, np.array([2.0, 0.0]))
         np.testing.assert_array_equal(x, [-0.5, 0.0])
 
     def test_projects_onto_ball(self):
         setup = ProxSetup(FeasibleSet.ball(np.zeros(2), 1.0))
-        x = model_step(linear_oracle([-4.0, 0.0]), setup, np.zeros(2), 2.0)
+        x = model_step(linear_oracle([-4.0, 0.0]), setup, np.zeros(2), 2.0, np.array([-4.0, 0.0]))
         np.testing.assert_array_equal(x, [1.0, 0.0])
 
     def test_composite_part_soft_thresholds(self):
         oracle = composite_oracle(
             lambda x: -3.0 * float(x[0]), lambda x: np.array([-3.0]), L1Penalty(1.0)
         )
-        x = model_step(oracle, WHOLE, np.zeros(1), 1.0)
+        x = model_step(oracle, WHOLE, np.zeros(1), 1.0, np.array([-3.0]))
         np.testing.assert_array_equal(x, [2.0])
 
     def test_rejects_nonpositive_L(self):
         with pytest.raises(ValueError):
-            model_step(linear_oracle([1.0]), WHOLE, np.zeros(1), 0.0)
+            model_step(linear_oracle([1.0]), WHOLE, np.zeros(1), 0.0, np.array([1.0]))
 
 
 class TestAcceptance:
+    """One step of ``convex_minimize`` on f(x) = x^2/2 from x = 1: the
+    trial at L is 1 - 1/L, so L = 1 lands on the minimizer and L = 0.5
+    overshoots to -1."""
+
+    def _step(self, L0, delta0=0.0, cap=100):
+        config = ConvexConfig(x0=np.array([1.0]), L0=L0, delta0=delta0, N=1,
+                              max_inner_per_iter=cap)
+        return convex_minimize(config, quadratic_oracle(), WHOLE)
+
     def test_quadratic_boundary_case(self):
-        # for f(x) = x^2/2 the descent inequality holds with equality at
-        # L = 1: the trial point from x = 1 is 0 and both sides equal 0
-        oracle = quadratic_oracle()
-        x_k = np.array([1.0])
-        x_next = model_step(oracle, WHOLE, x_k, 1.0)
-        np.testing.assert_array_equal(x_next, [0.0])
-        assert acceptance_test(oracle, WHOLE, x_k, x_next, AdaptiveTriple(1.0, 0.0, 0.0))
+        # the descent inequality holds with equality at L = 1: the trial
+        # point is 0 and both sides equal 0, so the first trial is accepted
+        trace = self._step(L0=2.0)
+        assert trace.inner_hist[0] == 1
+        assert trace.L_hist[0] == 1.0
+        assert trace.f_values[0] == 0.0
+        np.testing.assert_array_equal(trace.x_final, [0.0])
 
     def test_quadratic_rejects_below_curvature(self):
-        oracle = quadratic_oracle()
-        x_k = np.array([1.0])
-        x_next = model_step(oracle, WHOLE, x_k, 0.5)
-        assert not acceptance_test(
-            oracle, WHOLE, x_k, x_next, AdaptiveTriple(0.5, 0.0, 0.0)
-        )
+        # at L = 0.5: f(-1) = 0.5 > 0.5 - 2 + 0.5 * 2 = -0.5
+        with pytest.raises(NonTerminationError) as info:
+            self._step(L0=1.0, cap=1)
+        assert info.value.triple == (1.0, 0.0, 0.0)
+        trace = self._step(L0=1.0)
+        assert trace.inner_hist[0] == 2 and trace.L_hist[0] == 1.0
 
     def test_noise_slack_flips_rejection(self):
-        oracle = quadratic_oracle()
-        x_k = np.array([1.0])
-        x_next = model_step(oracle, WHOLE, x_k, 0.5)
-        # same trial point, but a generous additive slack admits it
-        assert acceptance_test(oracle, WHOLE, x_k, x_next, AdaptiveTriple(0.5, 2.0, 0.0))
+        # same trial point, but a generous additive slack delta = 2 admits it
+        trace = self._step(L0=1.0, delta0=4.0)
+        assert trace.inner_hist[0] == 1
+        assert (trace.L_hist[0], trace.delta_hist[0]) == (0.5, 2.0)
+        np.testing.assert_array_equal(trace.x_final, [-1.0])
 
 
 class TestConvexMinimize:
@@ -145,6 +152,22 @@ class TestConvexMinimize:
             convex_minimize(config, oracle, WHOLE)
         assert info.value.iteration == 0
         assert info.value.inner_calls == 10
+
+    def test_cap_failure_carries_the_steps_accepted_before_it(self):
+        # f(x) = x^2/2 reads 10 left of x = 0.5: the first step lands on
+        # 0.5 at L = 2, every later trial 0.5 - 0.5/L falls short of it
+        oracle = FunctionOracle(
+            lambda x: 0.5 * float(x @ x) if x[0] >= 0.5 else 10.0, lambda x: x.copy()
+        )
+        config = ConvexConfig(x0=np.array([1.0]), L0=4.0, N=5, max_inner_per_iter=10)
+        with pytest.raises(NonTerminationError) as info:
+            convex_minimize(config, oracle, WHOLE)
+        partial = info.value.partial_trace
+        assert info.value.iteration == partial.N_run == 1
+        assert (partial.f0, partial.f_values[0], partial.L_hist[0]) == (0.5, 0.125, 2.0)
+        np.testing.assert_array_equal(partial.x_final, [0.5])
+        np.testing.assert_array_equal(partial.x_hat, [0.5])
+        assert not partial.stopped_early
 
     def test_nan_value_fails_at_once(self):
         # f turns NaN past x = 1.5 on the way to the minimizer at x = 4

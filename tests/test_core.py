@@ -1,11 +1,14 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import modelgrad
 from modelgrad.core import (
-    AdaptiveTriple,
     DimensionMismatchError,
     FeasibleSet,
     FunctionOracle,
@@ -19,7 +22,6 @@ from modelgrad.core import (
     check_oracle_conformance,
     norm,
     project_ball,
-    scale_triple,
 )
 from modelgrad.convex import ConvexConfig, convex_minimize
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
@@ -144,43 +146,6 @@ class TestBregman:
             ProxSetup(FeasibleSet.whole_space(), generator="entropy")
 
 
-class TestAdaptiveTriple:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveTriple(0.0)
-        with pytest.raises(ValueError):
-            AdaptiveTriple(1.0, delta=-0.1)
-        with pytest.raises(ValueError):
-            AdaptiveTriple(1.0, Delta=np.inf)
-
-    def test_halve_then_double_is_exact_identity(self):
-        t = AdaptiveTriple(3.0, 0.3, 0.07)
-        back = t.halved().doubled()
-        assert (back.L, back.delta, back.Delta) == (t.L, t.delta, t.Delta)
-
-    def test_scaling_preserves_ratios_exactly(self):
-        t = AdaptiveTriple(4.0, 0.1, 0.2)
-        s = t.doubled().doubled()
-        assert s.delta / s.L == t.delta / t.L
-        assert s.Delta / s.L == t.Delta / t.L
-
-    def test_only_halving_and_doubling_allowed(self):
-        with pytest.raises(ValueError):
-            scale_triple(AdaptiveTriple(1.0), 0.7)
-
-    @given(st.floats(1e-6, 1e6), st.integers(0, 30))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_any_depth(self, L, k):
-        t = AdaptiveTriple(L, L / 10, L / 100)
-        down = t
-        for _ in range(k):
-            down = down.halved()
-        up = down
-        for _ in range(k):
-            up = up.doubled()
-        assert up.L == t.L and up.delta == t.delta and up.Delta == t.Delta
-
-
 class TestBacktrack:
     def test_doubles_all_three_and_clamps_Delta(self):
         tried = []
@@ -191,6 +156,18 @@ class TestBacktrack:
 
         assert backtrack(attempt, 1.0, 0.5, 0.25, 1.0, 10, 0) == ("accepted", 8.0, 4.0, 1.0, 4)
         assert tried == [(1.0, 0.5, 0.25), (2.0, 1.0, 0.5), (4.0, 2.0, 1.0), (8.0, 4.0, 1.0)]
+
+    @given(st.floats(1e-6, 1e6), st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_solver_keeps_the_triple_ratios_exactly(self, L0, N):
+        # the constants are only ever halved or doubled together, which is
+        # exact in binary floating point, so delta/L and Delta/L never drift
+        config = ConvexConfig(x0=np.array([1.0, -2.0]), L0=L0, delta0=L0 / 10,
+                              Delta0=L0 / 100, N=N)
+        oracle = FunctionOracle(lambda x: float(x @ x), lambda x: 2.0 * x)
+        trace = convex_minimize(config, oracle, ProxSetup(FeasibleSet.whole_space()))
+        np.testing.assert_array_equal(trace.delta_hist / trace.L_hist, (L0 / 10) / L0)
+        np.testing.assert_array_equal(trace.Delta_hist / trace.L_hist, (L0 / 100) / L0)
 
     # constant value, nonzero gradient: no trial is ever accepted
     @pytest.mark.parametrize(
@@ -218,6 +195,8 @@ class TestBacktrack:
         assert info.value.iteration == 0
         assert info.value.inner_calls == 6
         assert info.value.triple == next_triple
+        assert info.value.partial_trace.N_run == info.value.iteration
+        assert info.value.partial_trace.f0 == 1.0
 
 
 class TestModelOracle:
@@ -229,21 +208,15 @@ class TestModelOracle:
         assert oracle.model(y, x) == 1.0
         assert oracle.model(x, x) == 0.0
 
-    def test_gradient_memoized_by_anchor_identity(self):
-        calls = []
-
-        def grad(x):
-            calls.append(1)
-            return x.copy()
-
-        oracle = FunctionOracle(lambda x: 0.0, grad)
-        x = np.array([1.0, 2.0])
-        oracle.model(np.zeros(2), x)
-        oracle.model(np.ones(2), x)
-        assert len(calls) == 1
-        # equal values but a different object is a new anchor
-        oracle.model(np.zeros(2), x.copy())
-        assert len(calls) == 2
+    def test_model_sees_an_in_place_change_of_the_anchor(self):
+        # psi(y, x) = <g(x), y - x> must use the gradient at x as it is now:
+        # after x *= 5, g(x) = (5, 5) and psi(0, x) = -50, not -10
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        x, y = np.ones(2), np.zeros(2)
+        assert oracle.model(y, x) == -2.0
+        x *= 5
+        assert oracle.model(y, x) == float(np.dot(oracle.evaluate(x).gradient(), y - x))
+        assert oracle.model(y, x) == -50.0
 
     def test_model_dimension_mismatch(self):
         oracle = FunctionOracle(lambda x: 0.0, lambda x: x)
@@ -292,3 +265,19 @@ class TestConformance:
             Concave(), lambda: rng.standard_normal(3), trials=100
         )
         assert failures
+
+
+def _modules_with_exports():
+    modules = [modelgrad]
+    for info in pkgutil.iter_modules(modelgrad.__path__):
+        module = importlib.import_module(f"modelgrad.{info.name}")
+        if hasattr(module, "__all__"):
+            modules.append(module)
+    return modules
+
+
+@pytest.mark.parametrize("module", _modules_with_exports(), ids=lambda m: m.__name__)
+def test_every_export_resolves_once(module):
+    names = module.__all__
+    assert [n for n in names if not hasattr(module, n)] == []
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []

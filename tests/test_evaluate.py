@@ -5,13 +5,14 @@ Every shipped oracle's ``evaluate`` must give the solvers exactly what its
 each point must be swept (or its residual computed) once.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from modelgrad import harness, kernels, problems
-from modelgrad.convex import ConvexConfig, acceptance_test, convex_minimize, model_step
+from modelgrad.convex import ConvexConfig, convex_minimize, model_step
 from modelgrad.core import (
-    AdaptiveTriple,
     Evaluation,
     FeasibleSet,
     FunctionOracle,
@@ -20,7 +21,7 @@ from modelgrad.core import (
     UnsupportedCombinationError,
 )
 from modelgrad.harness import ExperimentSpec
-from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize, restart_inner
+from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from modelgrad.pl import PLConfig, pl_minimize
 from modelgrad.problems import NoisyOracle, generate_task1, generate_task2, pl_quadratic_make
 
@@ -34,7 +35,6 @@ class ValueGradientOnly(ModelOracle):
     ``evaluate`` is the base class default."""
 
     def __init__(self, inner):
-        super().__init__()
         self.inner = inner
         for key in ("gamma", "known_L", "known_delta", "known_Delta",
                     "exact_values", "has_composite"):
@@ -132,18 +132,27 @@ def test_fused_evaluation_gives_bitwise_equal_traces(kind, solver, mode):
 
 
 def test_composite_decisions_match_the_oracle_model():
-    """Replayed through ``acceptance_test``, which asks ``oracle.model`` for
-    psi, every accepted step passes and every trial before it fails."""
+    """Replayed with psi(y, x) = <g(x), y - x> + h(y) - h(x), every accepted
+    step passes the acceptance inequality and every trial before it fails."""
     oracle = _problem("composite")[0]()
     trace = convex_minimize(ConvexConfig(x0=np.zeros(N_DIM), N=30), oracle, WHOLE)
     assert trace.inner_hist.max() > 1
+
+    def accepted(x, y, L, delta, Delta):
+        anchor, trial = oracle.evaluate(x), oracle.evaluate(y)
+        d = y - x
+        sq = float(np.dot(d, d))
+        psi = float(np.dot(anchor.gradient(), d)) + (trial.h - anchor.h)
+        return trial.value <= anchor.value + psi + L * (0.5 * sq) + Delta * math.sqrt(sq) + delta
+
     for k in range(trace.N_run):
         x_k, x_next = trace.iterates[k], trace.iterates[k + 1]
-        t = AdaptiveTriple(trace.L_hist[k], trace.delta_hist[k], trace.Delta_hist[k])
-        assert acceptance_test(oracle, WHOLE, x_k, x_next, t)
+        L, delta, Delta = trace.L_hist[k], trace.delta_hist[k], trace.Delta_hist[k]
+        assert accepted(x_k, x_next, L, delta, Delta)
+        g = oracle.evaluate(x_k).gradient()
         for _ in range(int(trace.inner_hist[k]) - 1):
-            t = t.halved()
-            assert not acceptance_test(oracle, WHOLE, x_k, model_step(oracle, WHOLE, x_k, t.L), t)
+            L, delta, Delta = 0.5 * L, 0.5 * delta, 0.5 * Delta
+            assert not accepted(x_k, model_step(oracle, WHOLE, x_k, L, g), L, delta, Delta)
 
 
 def _count(monkeypatch, module, name, counter):
@@ -188,8 +197,6 @@ def test_oracle_with_its_own_model_is_refused():
         nonsmooth_minimize(
             NonsmoothConfig(base=ConvexConfig(x0=x0, N=5), epsilon=0.1), oracle, WHOLE
         )
-    with pytest.raises(UnsupportedCombinationError, match="model"):
-        restart_inner(oracle, WHOLE, x0, 1.0, 0.0, 0.1)
 
 
 class TestEvaluation:

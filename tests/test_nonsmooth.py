@@ -13,10 +13,10 @@ from modelgrad.nonsmooth import (
     STOP_DELTA_TERM,
     STOP_SMOOTH,
     NonsmoothConfig,
+    RestartRecord,
     complexity_estimate,
     nonsmooth_minimize,
     p_bound,
-    restart_inner,
 )
 from modelgrad.problems import NoisyOracle, generate_task1, pl_quadratic_make
 
@@ -81,38 +81,46 @@ class TestConfig:
 
 
 class TestRestartInner:
+    """One outer iteration of ``nonsmooth_minimize`` (N = 1); the restart
+    starts at L = L0 / 2."""
+
+    def _restart(self, oracle, x0, L0, Delta_known, epsilon, inner_cap=100, **kw):
+        base = ConvexConfig(x0=x0, L0=L0, N=1, max_inner_per_iter=inner_cap)
+        config = NonsmoothConfig(base=base, epsilon=epsilon, Delta_known=Delta_known, **kw)
+        return nonsmooth_minimize(config, oracle, WHOLE)
+
     def test_smooth_problem_exits_without_doubling(self):
         oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
-        x_next, record = restart_inner(
-            oracle, WHOLE, np.array([1.0, 0.0]), L_start=1.0, Delta_fixed=0.0,
-            epsilon=0.1,
+        trace, records = self._restart(
+            oracle, np.array([1.0, 0.0]), L0=2.0, Delta_known=0.0, epsilon=0.1
         )
-        np.testing.assert_array_equal(x_next, [0.0, 0.0])
-        assert record.p_used == 0
-        assert record.stop_reason == STOP_DELTA_TERM
-        assert record.final_L == 1.0
+        np.testing.assert_array_equal(trace.x_final, [0.0, 0.0])
+        assert records == [RestartRecord(0, 0, STOP_DELTA_TERM, 1.0)]
+        assert trace.inner_hist[0] == 1
 
     def test_inner_cap_trips_on_inconsistent_oracle(self):
         # constant value, nonzero gradient: the bootstrap inequality fails
         # at every L when the frozen Delta is below the gradient norm
         oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
         with pytest.raises(NonTerminationError) as info:
-            restart_inner(
-                oracle, WHOLE, np.zeros(2), L_start=1.0, Delta_fixed=0.4,
-                epsilon=0.1, inner_cap=12,
+            self._restart(
+                oracle, np.zeros(2), L0=2.0, Delta_known=0.4, epsilon=0.1, inner_cap=12
             )
         assert info.value.inner_calls == 12
+        assert info.value.triple == (2.0**12, 0.0, 0.4)
 
     def test_p_cap_trips_when_no_exit_fires(self):
         # Delta above the gradient norm makes the bootstrap accept at once,
         # but a tiny epsilon and a tiny class constant starve both exits
         oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
         with pytest.raises(NonTerminationError) as info:
-            restart_inner(
-                oracle, WHOLE, np.zeros(2), L_start=1e-6, Delta_fixed=0.6,
-                epsilon=1e-6, p_cap=8, L_class=1e-12,
+            self._restart(
+                oracle, np.zeros(2), L0=2e-6, Delta_known=0.6, epsilon=1e-6, p_cap=8,
+                L_class=1e-12,
             )
         assert info.value.inner_calls == 8
+        assert info.value.triple is None
+        assert info.value.partial_trace.N_run == 0
 
 
 class TestNonsmoothMinimize:

@@ -15,7 +15,6 @@ from modelgrad.pl import (
     PLConfig,
     PLTrace,
     SmallGradientError,
-    pl_acceptance,
     pl_dichotomy_check,
     pl_inexact_floor,
     pl_minimize,
@@ -55,16 +54,28 @@ class TestStepSize:
 
 
 class TestAcceptance:
+    """One step of ``pl_minimize`` on f(x) = x^2/2 from x = 1: the trial at
+    L is 1 - 1/L (Delta = 0 leaves the step undamped)."""
+
+    def _step(self, L0, delta0=0.0, cap=100):
+        config = PLConfig(x0=np.array([1.0]), L0=L0, delta0=delta0, N=1,
+                          max_inner_per_iter=cap)
+        return pl_minimize(config, quadratic_oracle())
+
     def test_quadratic_boundary(self):
-        oracle = quadratic_oracle()
-        x_k, x_next = np.array([1.0]), np.array([0.0])
-        assert pl_acceptance(oracle, x_k, x_next, L=1.0, Delta=0.0)
-        assert not pl_acceptance(oracle, x_k, x_next, L=0.5, Delta=0.0)
+        # accepted with equality at L = 1, rejected at L = 0.5
+        trace = self._step(L0=2.0)
+        assert trace.inner_hist[0] == 1 and trace.L_hist[0] == 1.0
+        assert trace.f_values[0] == 0.0
+        with pytest.raises(NonTerminationError) as info:
+            self._step(L0=1.0, cap=1)
+        assert info.value.triple == (1.0, 0.0, 0.0)
 
     def test_value_slack_admits_step(self):
-        oracle = quadratic_oracle()
-        x_k, x_next = np.array([1.0]), np.array([0.0])
-        assert pl_acceptance(oracle, x_k, x_next, L=0.5, Delta=0.0, delta=0.3)
+        trace = self._step(L0=1.0, delta0=4.0)
+        assert trace.inner_hist[0] == 1
+        assert (trace.L_hist[0], trace.delta_hist[0]) == (0.5, 2.0)
+        np.testing.assert_array_equal(trace.x_final, [-1.0])
 
 
 class TestMinimize:
@@ -194,6 +205,17 @@ class TestMinimize:
             PLConfig(x0=np.zeros(2), mu=-1.0)
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), Delta_cap=-0.5)
+
+    # a NaN delta0 used to exhaust the trial cap, a NaN Delta0 to stop
+    # partway at the floor, and an infinite delta0 to accept every trial
+    @pytest.mark.parametrize(
+        "field, value",
+        [("delta0", math.nan), ("delta0", math.inf), ("Delta0", math.nan),
+         ("Delta0", math.inf), ("Delta_cap", math.nan)],
+    )
+    def test_non_finite_levels_refused_when_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PLConfig(x0=np.zeros(2), **{field: value})
 
 
 def synthetic_trace(g_norms, final_g_norm, clamp, L=1.0):

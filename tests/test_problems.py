@@ -163,9 +163,10 @@ class TestNoisyOracle:
         rng = np.random.default_rng(10)
         for _ in range(2000):
             x = rng.standard_normal(4)
-            g_err = np.linalg.norm(noisy.model_gradient_at(x) - prob.gradient(x))
+            ev = noisy.evaluate(x)
+            g_err = np.linalg.norm(ev.gradient() - prob.gradient(x))
             assert g_err <= Delta * (1.0 + 1e-12)
-            v_gap = prob.value(x) - noisy.value_inexact(x)
+            v_gap = prob.value(x) - ev.value
             assert 0.0 <= v_gap <= delta
 
     def test_metadata_accumulates(self):
@@ -182,14 +183,22 @@ class TestNoisyOracle:
         noisy = NoisyOracle(prob.oracle(), Delta=0.0, delta=0.0)
         x = np.array([0.3, -0.7, 1.1, 0.0])
         assert noisy.value_inexact(x) == prob.value(x)
-        np.testing.assert_array_equal(noisy.model_gradient_at(x), prob.gradient(x))
+        np.testing.assert_array_equal(noisy.evaluate(x).gradient(), prob.gradient(x))
 
     def test_deterministic_for_fixed_seed(self):
         prob = self._base()
         x = np.ones(4)
-        a = NoisyOracle(prob.oracle(), Delta=0.2, seed=3).model_gradient_at(x)
-        b = NoisyOracle(prob.oracle(), Delta=0.2, seed=3).model_gradient_at(x)
+        a = NoisyOracle(prob.oracle(), Delta=0.2, seed=3).evaluate(x).gradient()
+        b = NoisyOracle(prob.oracle(), Delta=0.2, seed=3).evaluate(x).gradient()
         np.testing.assert_array_equal(a, b)
+
+    def test_each_gradient_query_draws_fresh_noise(self):
+        prob = self._base()
+        noisy = NoisyOracle(prob.oracle(), Delta=0.2, seed=3)
+        x = np.ones(4)
+        assert noisy._gradient(x).tobytes() != noisy._gradient(x).tobytes()
+        ev = noisy.evaluate(x)
+        assert ev.gradient() is ev.gradient()
 
     def test_adversarial_direction_is_fixed(self):
         prob = self._base()
@@ -198,8 +207,8 @@ class TestNoisyOracle:
         )
         rng = np.random.default_rng(11)
         x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-        e1 = noisy.model_gradient_at(x1) - prob.gradient(x1)
-        e2 = noisy.model_gradient_at(x2) - prob.gradient(x2)
+        e1 = noisy.evaluate(x1).gradient() - prob.gradient(x1)
+        e2 = noisy.evaluate(x2).gradient() - prob.gradient(x2)
         np.testing.assert_allclose(e1, e2, rtol=1e-12)
         assert np.linalg.norm(e1) == pytest.approx(0.2, rel=1e-12)
 
@@ -210,7 +219,7 @@ class TestNoisyOracle:
             direction=[2.0, 0.0, 0.0, 0.0],
         )
         x = np.ones(4)
-        err = noisy.model_gradient_at(x) - prob.gradient(x)
+        err = noisy.evaluate(x).gradient() - prob.gradient(x)
         np.testing.assert_allclose(err, [0.1, 0.0, 0.0, 0.0], rtol=1e-12, atol=1e-15)
 
     def test_bad_directions_refused(self):
@@ -227,7 +236,7 @@ class TestNoisyOracle:
             prob.oracle(), Delta=0.1, mode="adversarial-fixed-direction", direction=[3.0]
         )
         with pytest.raises(ValueError, match="envelope"):
-            noisy.model_gradient_at(np.ones(4))
+            noisy.evaluate(np.ones(4)).gradient()
 
     def test_validation(self):
         prob = self._base()
