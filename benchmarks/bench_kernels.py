@@ -1,10 +1,20 @@
-"""Timing of the distance kernels against the subtract-square-sum formula.
+"""Timing of the distance kernels and of the solvers' trial-path layers.
 
 Times each kernel (with the row norms precomputed, as the problems call
 it) next to the direct formula it replaced, which forms the (m, n)
 difference matrix, at the sizes of the paper's protocols and beyond.
-Reports the best per-call microseconds of each and the speed-up.  BLAS
-and OpenMP run on one thread, as in the repository's benchmark.
+
+Then times the layers one solver trial runs through, on task1's geometry:
+the model step with its projection onto the unit ball (a step that stays
+inside and one that is projected), one evaluation through the oracle the
+solvers query and one through the public ``problem.evaluate``, which
+checks its point, and the bookkeeping of an accepted step
+(``convex._record``).  Run the script with another checkout's ``src`` on
+PYTHONPATH to compare these layers across versions.
+
+Reports the best per-call microseconds of each, and each kernel's
+speed-up over its direct formula.  BLAS and OpenMP run on one thread, as
+in the repository's benchmark.
 
 Usage: python3 benchmarks/bench_kernels.py [--sizes 1000x10,100000x10] [--repeats 50]
 """
@@ -20,7 +30,8 @@ import time
 
 import numpy as np
 
-from modelgrad import kernels
+from modelgrad import convex, kernels
+from modelgrad.problems import BallSumProblem
 
 SIZES = "1000x10,10000x10,100000x10,1000x1000"
 
@@ -41,6 +52,26 @@ def direct_minmax_value(centers, x):
     dists = np.sqrt(((centers - x) ** 2).sum(axis=1))
     j = int(np.argmax(dists))
     return float(dists[j]), j
+
+
+def trial_path_cases(centers, x, rng):
+    """(layer, call) pairs at one size, on task1's geometry."""
+    prob = BallSumProblem(centers)
+    oracle, setup = prob.oracle(), prob.prox_setup()
+    n = centers.shape[1]
+    g = prob.subgradient(x)
+    g_out = rng.standard_normal(n)  # a step of length 2 leaves the unit ball
+    g_out *= 2.0 / np.linalg.norm(g_out)
+    L_in = 4.0 * np.linalg.norm(g)  # a step of length 1/4 stays inside
+    state = convex.ConvexState(x=x, f_x=0.0, triple=(1.0, 0.0, 0.0), weighted_sum=np.zeros(n))
+    trial = oracle.evaluate(x)
+    return (
+        ("model_step inside", lambda: convex.model_step(oracle, setup, x, L_in, g)),
+        ("model_step projected", lambda: convex.model_step(oracle, setup, x, 1.0, g_out)),
+        ("oracle.evaluate", lambda: oracle.evaluate(x)),
+        ("problem.evaluate", lambda: prob.evaluate(x)),
+        ("_record", lambda: convex._record(state, x, trial, 1.0, 0.0, 0.0, 0.1, 2)),
+    )
 
 
 def _best_us(fn, args, repeats):
@@ -67,12 +98,14 @@ def main() -> int:
     print(header)
     print("-" * len(header))
 
+    cases_by_size = []
     for n, m in sizes:
         # task1's geometry: centers 1 to 1.5 from the origin, x inside the unit ball
         centers = rng.standard_normal((m, n))
         centers *= rng.uniform(1.0, 1.5, m)[:, None] / np.linalg.norm(centers, axis=1)[:, None]
         x = rng.standard_normal(n)
         x *= 0.5 / np.linalg.norm(x)
+        cases_by_size.append((n, m, centers, x))
         sqnorms = kernels.row_sqnorms(centers)
         cases = (
             ("ballsum_value", direct_ballsum_value, (centers, x, 1.0)),
@@ -84,6 +117,14 @@ def main() -> int:
             t_kernel = _best_us(getattr(kernels, name), call_args + (sqnorms,), args.repeats)
             print(f"{name:<18}{n:>8}{m:>6}{t_direct:>12.1f}{t_kernel:>12.1f}"
                   f"{t_direct / t_kernel:>9.1f}x")
+
+    header = f"{'trial-path layer':<22}{'n':>8}{'m':>6}{'us':>10}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for n, m, centers, x in cases_by_size:
+        for name, call in trial_path_cases(centers, x, rng):
+            print(f"{name:<22}{n:>8}{m:>6}{_best_us(call, (), args.repeats):>10.1f}")
     return 0
 
 

@@ -31,6 +31,7 @@ from .core import (
     as_vector,
     backtrack,
     checked_gradient,
+    checked_trial_point,
     checked_value,
 )
 
@@ -165,13 +166,15 @@ def model_step(
     euclidean setup and a linear-plus-composite model this is the proximal
     point of the composite part at x_k - g/L with weight 1/L, projected onto
     the feasible set; with no composite part it reduces to a projected
-    gradient step.
+    gradient step.  x_k - g/L is formed in the fresh array g/L, so ``g``
+    must be float64 like ``x_k``, as the shipped oracles' gradients are.
     """
     if not L > 0:
         raise ValueError("L must be positive")
     if len(g) != len(x_k):
         raise ValueError("oracle gradient dimension differs from the iterate")
-    v = x_k - g / L
+    v = g / L
+    np.subtract(x_k, v, out=v)  # x_k - g/L in the buffer of g/L
     if oracle.has_composite:
         v = oracle.composite_prox(v, 1.0 / L)
     return setup.feasible.project(v)
@@ -183,14 +186,18 @@ def _trial(oracle, setup, x_k, anchor, g, L, k):
     Returns (x_next, its evaluation, psi(x_next, x_k), squared step length,
     step length).  psi uses the float operations of ``ModelOracle.model``
     on the anchor gradient ``g`` and the composite parts of the two
-    evaluations.
+    evaluations.  This is where trial points are checked: a non-finite
+    one makes the squared step from the finite anchor non-finite too, and
+    raises ``NonFiniteTrialPointError`` before the oracle sees it.
     """
     x_next = model_step(oracle, setup, x_k, L, g)
     d = x_next - x_k
-    sq = float(np.dot(d, d))
+    sq = float(d.dot(d))
+    if not math.isfinite(sq):
+        checked_trial_point(x_next, k)
     trial = oracle.evaluate(x_next)
     checked_value(trial.value, k)
-    psi = float(np.dot(g, d))
+    psi = float(g.dot(d))
     if oracle.has_composite:
         psi += trial.h - anchor.h
     return x_next, trial, psi, sq, math.sqrt(sq)

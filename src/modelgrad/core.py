@@ -29,12 +29,14 @@ __all__ = [
     "norm",
     "checked_gradient",
     "checked_value",
+    "checked_trial_point",
     "DimensionMismatchError",
     "UnsupportedCombinationError",
     "CertificateUnavailableError",
     "InconsistentTraceError",
     "NonTerminationError",
     "NonFiniteOracleError",
+    "NonFiniteTrialPointError",
     "FeasibleSet",
     "ProxSetup",
     "Evaluation",
@@ -90,6 +92,20 @@ class NonFiniteOracleError(ValueError):
         self.iteration = iteration
 
 
+class NonFiniteTrialPointError(ValueError):
+    """The model step produced a trial point with a NaN or infinite entry.
+
+    ``iteration`` is the index of the solver iteration that produced it;
+    ``point`` is the trial point itself.  A step length g/L that overflows
+    (a tiny L0) is the usual cause.
+    """
+
+    def __init__(self, point: Vector, iteration: int):
+        super().__init__(f"the model step gave a non-finite trial point at iteration {iteration}")
+        self.point = point
+        self.iteration = iteration
+
+
 def all_finite(v: Vector) -> bool:
     """Whether every entry of the 1-D float64 array ``v`` is finite.
 
@@ -127,6 +143,18 @@ def checked_gradient(g: Vector, iteration: int) -> Vector:
     if not all_finite(g):
         raise NonFiniteOracleError("gradient", iteration)
     return g
+
+
+def checked_trial_point(x: Vector, iteration: int) -> Vector:
+    """Return the trial point ``x``, refusing NaN or infinite entries.
+
+    The solvers call this only when the squared step length from the
+    (finite) anchor is not finite, which every non-finite trial point
+    makes it; a finite point whose step overflowed passes.
+    """
+    if not all_finite(x):
+        raise NonFiniteTrialPointError(x, iteration)
+    return x
 
 
 def as_vector(x) -> Vector:
@@ -235,8 +263,12 @@ def project_ball(x: Vector, center: Vector, radius: float) -> Vector:
     dist = norm(d)
     if dist <= radius * (1.0 + 4.0 * _EPS):
         return x
-    # One rounding per coordinate: d * radius / dist, not d * (radius/dist).
-    return center + d * radius / dist
+    # center + d * radius / dist, in place: one rounding per coordinate for
+    # the scaling (not d * (radius/dist)), and the sum commutes bitwise.
+    d *= radius
+    d /= dist
+    d += center
+    return d
 
 
 def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
@@ -285,7 +317,10 @@ class Evaluation:
     made.  ``gradient()`` computes the gradient on its first call, from
     what the value computation kept, and returns the same vector after
     that.  The query keeps x itself, not a copy: x must not be changed in
-    place before the gradient has been asked for.
+    place before the gradient has been asked for.  This by-reference
+    contract is deliberate: a copy would cost one n-vector per evaluation,
+    on the solvers' hot path, to guard against a write that none of them
+    makes (the solvers never change a point in place once it is formed).
     """
 
     __slots__ = ("value", "h", "_make_gradient", "_gradient")

@@ -120,10 +120,14 @@ class ExperimentSpec:
         object.__setattr__(self, "iteration_grid", grid)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.L0 <= 0:
-            raise ValueError("L0 must be positive")
-        if self.Delta0 < 0 or self.delta0 < 0 or self.Delta < 0 or self.delta < 0:
-            raise ValueError("inexactness levels must be nonnegative")
+        if not 0 < self.L0 < math.inf:
+            raise ValueError(f"L0 must be positive and finite, got {self.L0!r}")
+        for name in ("Delta0", "delta0", "Delta", "delta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"inexactness level {name} must be nonnegative and finite, "
+                    f"got {getattr(self, name)!r}"
+                )
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("epsilon must be positive when given")
         if not self.C > 1:

@@ -7,7 +7,9 @@ computes them on the spot.  Squared distances come from the expanded square
 
     ||x - a_k||^2 = ||a_k||^2 - 2 <a_k, x> + ||x||^2,
 
-so a call costs one BLAS matvec instead of an (m, n) temporary.
+so a call costs one BLAS matvec instead of an (m, n) temporary.  The
+matvecs are spelled ``a.dot(b)``: the same BLAS call as ``a @ b``, with
+about a microsecond less dispatch at the protocols' sizes.
 
 The expansion's rounding error is a few ulp of ||a_k||^2 + ||x||^2 (about
 20 ulp at n = 1e5), not of the distance.  A row is therefore recomputed from
@@ -55,7 +57,7 @@ def sq_dists(centers, x, sqnorms, kink_sq):
     xx = float(x.dot(x))
     sq = []
     redo = []
-    rows = zip(sqnorms.tolist(), (centers @ x).tolist(), strict=True)
+    rows = zip(sqnorms.tolist(), centers.dot(x).tolist(), strict=True)
     for k, (a2, ax) in enumerate(rows):
         scale = a2 + xx
         d2 = scale - 2.0 * ax
@@ -70,11 +72,15 @@ def sq_dists(centers, x, sqnorms, kink_sq):
 
 
 def ballsum_value_from(sq, radius):
-    """sum_k max(sqrt(sq_k) - radius, 0) over the squared distances ``sq``."""
+    """sum_k max(sqrt(sq_k) - radius, 0) over the squared distances ``sq``.
+
+    A NaN distance (from a point with a NaN or infinite entry) makes the
+    sum NaN rather than counting as inside its ball.
+    """
     total = 0.0
     for d2 in sq:
         d = math.sqrt(d2)
-        if d > radius:
+        if not d <= radius:
             total += d - radius
     return total
 
@@ -86,14 +92,19 @@ def ballsum_subgrad_from(centers, x, radius, sq, redo):
     Evaluated as sum(w) * x - w @ centers with w_k = 1 / d_k on those rows,
     except on the recomputed rows: next to a center the two products are
     far larger than their difference, so those rows use x - a_k directly.
+    A NaN distance gives a NaN weight, so it reaches the subgradient.
     """
-    w = [1.0 / d if d > radius else 0.0 for d in map(math.sqrt, sq)]
+    w = [0.0 if d <= radius else 1.0 / d for d in map(math.sqrt, sq)]
     exact = [k for k in redo if w[k]]
     w_exact = [w[k] for k in exact]
     for k in exact:
         w[k] = 0.0
     total = sum(w)
-    g = total * x - np.array(w) @ centers if total else np.zeros_like(x)
+    if total:
+        g = total * x
+        g -= np.array(w).dot(centers)
+    else:
+        g = np.zeros_like(x)
     if exact:
         g += (np.array(w_exact)[:, None] * (x - centers[exact])).sum(axis=0)
     return g

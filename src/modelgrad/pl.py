@@ -31,6 +31,7 @@ from .core import (
     as_vector,
     backtrack,
     checked_gradient,
+    checked_trial_point,
     checked_value,
     norm,
 )
@@ -216,12 +217,15 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     def attempt(L, delta, Delta):
         # reads x, g_vec, gn, f_x and k of the current iteration
         h = pl_step_size(L, Delta, gn)
-        x_next = x - h * g_vec
+        x_next = h * g_vec
+        np.subtract(x, x_next, out=x_next)  # x - h*g in the buffer of h*g
         d = x_next - x
-        sq = float(np.dot(d, d))
+        sq = float(d.dot(d))
+        if not math.isfinite(sq):
+            checked_trial_point(x_next, k)
         trial = oracle.evaluate(x_next)
         f_next = checked_value(trial.value, k)
-        lin = float(np.dot(g_vec, d))
+        lin = float(g_vec.dot(d))
         if f_next <= _acceptance_rhs(f_x, lin, L, 0.5 * sq, math.sqrt(sq), Delta, delta):
             return x_next, trial, h
         if gn <= min(2.0 * Delta, Delta_max):  # the Delta backtrack would try next

@@ -62,11 +62,14 @@ def _as_centers(centers) -> np.ndarray:
 
 class _ProblemOracle(FunctionOracle):
     """``FunctionOracle`` over a problem's value and (sub)gradient, whose
-    ``evaluate`` is the problem's own: one sweep per point."""
+    ``evaluate`` is the problem's own unchecked ``_evaluate``: one sweep per
+    point, and no check of a point the solver formed itself.  The caller
+    passes a 1-D float64 array of the problem's dimension; the solvers
+    refuse a non-finite trial point before they evaluate it."""
 
     def __init__(self, problem, gradient_fn, **meta):
         super().__init__(problem.value, gradient_fn, **meta)
-        self._evaluate = problem.evaluate
+        self._evaluate = problem._evaluate
 
     def evaluate(self, x: Vector) -> Evaluation:
         return self._evaluate(x)
@@ -120,7 +123,9 @@ class BallSumProblem:
     def evaluate(self, x: Vector) -> Evaluation:
         """The value at ``x``; the subgradient, when asked for, reuses the
         squared distances of the value's sweep."""
-        x = _checked_point(self, x)
+        return self._evaluate(_checked_point(self, x))
+
+    def _evaluate(self, x: Vector) -> Evaluation:
         r = self.ball_radius
         sq, redo = kernels.sq_dists(self.centers, x, self.sqnorms, r * r)
         return Evaluation(
@@ -164,14 +169,18 @@ class MinMaxBallProblem:
     def evaluate(self, x: Vector) -> Evaluation:
         """The value at ``x``; the subgradient, when asked for, reuses the
         farthest center and its distance."""
-        x = _checked_point(self, x)
+        return self._evaluate(_checked_point(self, x))
+
+    def _evaluate(self, x: Vector) -> Evaluation:
         val, j = kernels.minmax_value(self.centers, x, self.sqnorms)
         return Evaluation(val, 0.0, lambda: self._toward(x, val, j))
 
     def _toward(self, x: Vector, val: float, j: int) -> Vector:
         if val == 0.0:
             return np.zeros_like(x)
-        return (x - self.centers[j]) / val
+        g = x - self.centers[j]
+        g /= val
+        return g
 
     def value(self, x: Vector) -> float:
         x = _checked_point(self, x)
@@ -236,7 +245,10 @@ class PLQuadratic:
     f_star: float
 
     def evaluate(self, x: Vector) -> Evaluation:
-        return least_squares(self.A, self.b, as_vector(x))
+        return self._evaluate(as_vector(x))
+
+    def _evaluate(self, x: Vector) -> Evaluation:
+        return least_squares(self.A, self.b, x)
 
     def value(self, x: Vector) -> float:
         return self.evaluate(x).value
@@ -251,8 +263,9 @@ class PLQuadratic:
 def least_squares(A: np.ndarray, b: Vector, x: Vector) -> Evaluation:
     """f(x) = 0.5 ||A x - b||^2 at ``x``; the gradient A^T r, when asked
     for, reuses the residual r = A x - b."""
-    r = A @ x - b
-    return Evaluation(0.5 * float(np.dot(r, r)), 0.0, lambda: A.T @ r)
+    r = A.dot(x)  # the BLAS call of A @ x, with less dispatch
+    r -= b
+    return Evaluation(0.5 * float(r.dot(r)), 0.0, lambda: A.T.dot(r))
 
 
 def pl_quadratic_make(A, b) -> PLQuadratic:
@@ -291,9 +304,10 @@ class NoisyOracle(ModelOracle):
     evaluations) see different perturbations, while one evaluation's
     ``gradient()`` returns the same vector each time.  ``evaluate`` draws
     the value noise when it is called and the gradient noise when the
-    evaluation's gradient is first asked for.  The gradient error degrades the lower model by an extra Delta per unit
-    distance, so gamma accumulates accordingly.  The adversarial mode's
-    ``direction`` is scaled to unit norm (drawn at random when omitted).
+    evaluation's gradient is first asked for.  The gradient error degrades
+    the lower model by an extra Delta per unit distance, so gamma
+    accumulates accordingly.  The adversarial mode's ``direction`` is
+    scaled to unit norm (drawn at random when omitted).
     """
 
     MODES = ("random-sphere", "adversarial-fixed-direction")
@@ -350,7 +364,8 @@ class NoisyOracle(ModelOracle):
         while nrm == 0.0:
             d = self._rng.standard_normal(n)
             nrm = norm(d)
-        return d / nrm
+        d /= nrm
+        return d
 
     def _gradient(self, x: Vector) -> Vector:
         g = self.inner._gradient(x)
@@ -392,8 +407,12 @@ class L1Penalty:
         return self.weight * float(np.abs(x).sum())
 
     def prox(self, v: Vector, step: float) -> Vector:
-        t = self.weight * step
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        """sign(v) * max(|v| - weight * step, 0), formed in one buffer."""
+        u = np.abs(v, dtype=np.float64)
+        u -= self.weight * step
+        np.maximum(u, 0.0, out=u)
+        u *= np.sign(v)
+        return u
 
 
 class BallIndicator:

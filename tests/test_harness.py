@@ -87,6 +87,41 @@ class TestExperimentSpec:
         assert "--solver algo1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("L0", "Delta0", "delta0", "Delta", "delta")
+         for v in (np.nan, np.inf, -np.inf)] + [("L0", 0.0), ("L0", -1.0)],
+    )
+    def test_bad_constants_refused_when_built(self, field, value):
+        solver = {} if field in ("L0", "Delta0", "delta0") else {"solver": "algo1"}
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentSpec(task="task1", **solver, **{field: value})
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--solver", "algo1", "--Delta", "nan"], None, "Delta must be nonnegative and finite"),
+            (["--solver", "algo1", "--delta", "inf"], None, "delta must be nonnegative and finite"),
+            ([], "task = task1\nL0 = nan\n", "L0 must be positive and finite"),
+        ],
+        ids=["Delta-nan", "delta-inf", "config-L0-nan"],
+    )
+    def test_cli_refuses_non_finite_constants_before_generating(
+        self, tmp_path, capsys, monkeypatch, args, config, message
+    ):
+        def no_data(*a, **kw):
+            raise AssertionError("data generated for a spec that should be refused")
+
+        monkeypatch.setattr("modelgrad.harness.generate_task1", no_data)
+        if config is not None:
+            (tmp_path / "exp.cfg").write_text(config)
+            args = [*args, "--config", str(tmp_path / "exp.cfg")]
+        out = tmp_path / "t.csv"
+        rc = main(["table1", "--task", "task1", *args, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_incompatible_combo_rejected_at_run(self):
         spec = ExperimentSpec(task="pl-quadratic", solver="algo1")
         with pytest.raises(ValueError):

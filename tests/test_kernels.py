@@ -179,3 +179,32 @@ def test_many_centers():
     x = 0.5 * rng.standard_normal(20)
     radius = float(np.median(np.linalg.norm(centers - x, axis=1)))
     _assert_matches_brute(centers, x, radius)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_not_a_minimum(fill):
+    """A NaN or infinite point gives a NaN ball-sum value and a non-finite
+    subgradient, instead of reading as inside every ball (value 0)."""
+    centers, _ = _random_case(50, m=6, n=50)
+    sqnorms = kernels.row_sqnorms(centers)
+    x = np.full(50, fill)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq, redo = kernels.sq_dists(centers, x, sqnorms, 1.0)
+        value = kernels.ballsum_value_from(sq, 1.0)
+        grad = kernels.ballsum_subgrad_from(centers, x, 1.0, sq, redo)
+        assert np.isnan(value)
+        assert not np.isfinite(grad).all()
+        assert np.isnan(kernels.ballsum_value(centers, x, 1.0, sqnorms))
+        assert not np.isfinite(kernels.ballsum_subgrad(centers, x, 1.0, sqnorms)).all()
+        assert not np.isfinite(kernels.minmax_value(centers, x, sqnorms)[0])
+
+
+def test_one_nan_distance_poisons_the_sum():
+    """The reductions read a NaN squared distance as NaN, while the other
+    rows keep their exact floats."""
+    sq = [4.0, 0.25, 9.0]
+    assert kernels.ballsum_value_from(sq, 1.0) == 3.0
+    assert np.isnan(kernels.ballsum_value_from(sq + [np.nan], 1.0))
+    centers = np.array([[2.0, 0.0], [0.5, 0.0], [0.0, 3.0], [1.0, 1.0]])
+    grad = kernels.ballsum_subgrad_from(centers, np.zeros(2), 1.0, sq + [np.nan], [])
+    assert np.isnan(grad).all()
