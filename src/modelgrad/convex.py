@@ -25,7 +25,6 @@ from .core import (
     ModelOracle,
     NonTerminationError,
     ProxSetup,
-    UnsupportedCombinationError,
     Vector,
     _acceptance_rhs,
     as_vector,
@@ -68,7 +67,9 @@ class ConvexConfig:
     store_iterates: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", as_vector(self.x0))
+        # a private copy: a later write into the caller's array must not
+        # reach the trace's x0, iterates[0] or best_x
+        object.__setattr__(self, "x0", as_vector(self.x0).copy())
         if not (self.L0 > 0 and np.isfinite(self.L0)):
             raise ValueError("L0 must be positive and finite")
         if not (0 <= self.delta0 < math.inf and 0 <= self.Delta0 < math.inf):
@@ -112,7 +113,16 @@ class ConvexState:
 
 @dataclass
 class ConvexTrace:
-    """Immutable record of one run."""
+    """Immutable record of one run.
+
+    ``cert_hist[k]`` is the online certificate after step k, (R^2 + sum of
+    (delta_i + Delta_i * step_i) / L_i) / S plus the oracle's known value
+    gap; NaN without ``R``.  It bounds f(x_hat) - f* only for an oracle with
+    gamma = 0.  For gamma > 0 (injected gradient noise) the bound also has
+    a gamma * ||x_i - x*|| / L_i term per step, which needs the minimizer;
+    the certificate leaves it out, so it is no bound there.
+    ``certificate_bound`` adds it, given x*.
+    """
 
     x0: Vector
     f0: float
@@ -140,17 +150,6 @@ class ConvexTrace:
     def f_best_running(self) -> np.ndarray:
         """Best objective value seen up to each iteration (including f0)."""
         return np.minimum.accumulate(np.minimum(self.f_values, self.f0))
-
-
-def _require_linear_model(oracle: ModelOracle) -> None:
-    """Refuse an oracle whose class overrides ``model``: ``model_step`` only
-    solves the linear-plus-composite subproblem, and the solvers compute psi
-    as ``ModelOracle.model`` does."""
-    if type(oracle).model is not ModelOracle.model:
-        raise UnsupportedCombinationError(
-            f"{type(oracle).__name__} overrides model(), but the model-step "
-            "solvers only handle the linear-plus-composite model"
-        )
 
 
 def model_step(
@@ -184,8 +183,9 @@ def _trial(oracle, setup, x_k, anchor, g, L, k):
     """Take the model step at ``L`` from the anchor ``x_k`` and evaluate it.
 
     Returns (x_next, its evaluation, psi(x_next, x_k), squared step length,
-    step length).  psi uses the float operations of ``ModelOracle.model``
-    on the anchor gradient ``g`` and the composite parts of the two
+    step length).  psi(x_next, x_k) = <g, x_next - x_k> + h(x_next) - h(x_k),
+    the linear-plus-composite model, is computed here and nowhere else, from
+    the anchor gradient ``g`` and the composite parts of the two
     evaluations.  This is where trial points are checked: a non-finite
     one makes the squared step from the finite anchor non-finite too, and
     raises ``NonFiniteTrialPointError`` before the oracle sees it.
@@ -234,7 +234,6 @@ def convex_iterate(
     without acceptance and ``NonFiniteOracleError`` at the first NaN or
     infinite value or gradient.
     """
-    _require_linear_model(oracle)
     k = state.k
     x_k = state.x
     f_k = checked_value(state.f_x, k)
@@ -340,7 +339,6 @@ def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -
     check the early stop.  A ``NonTerminationError`` leaves with the steps
     accepted before it as ``partial_trace``.  Shared by algo1 and the
     restarted method."""
-    _require_linear_model(oracle)
     if not setup.feasible.contains(config.x0):
         raise ValueError("x0 lies outside the feasible set")
     state = _init_state(config, oracle)

@@ -2,12 +2,12 @@
 
 Vectors are plain 1-D float64 numpy arrays validated on entry by
 ``as_vector``.  The remaining pieces are small immutable values: the
-feasible set and the distance-generating setup.  ``ModelOracle`` is the
-contract every objective implements: an inexact value, a model of the
-objective around a point, and metadata consumed by certificates and budget
-formulas (never by the adaptive loops themselves).  ``Evaluation`` is one
-oracle query at a point, which the solvers carry from the accepted trial to
-the next iteration's anchor.
+feasible set and the euclidean prox setup.  ``ModelOracle`` is the
+contract every objective implements: one query, ``evaluate(x)``, which
+returns an ``Evaluation`` (the inexact value, the composite part and the
+gradient on demand), plus the composite prox and the slack metadata that
+certificates read (never the adaptive loops themselves).  The solvers
+carry the accepted trial's ``Evaluation`` to the next iteration's anchor.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ __all__ = [
     "Evaluation",
     "ModelOracle",
     "FunctionOracle",
-    "bregman_divergence",
     "project_ball",
-    "check_oracle_conformance",
 ]
 
 
@@ -217,36 +215,14 @@ class FeasibleSet:
 
 @dataclass(frozen=True, eq=False)
 class ProxSetup:
-    """Distance-generating setup: a generator kind plus the feasible set.
-
-    Only the euclidean generator d(x) = ||x||^2 / 2 exists for now; the
-    kind tag is the seam where non-euclidean generators would plug in
-    without touching solver code.
-    """
+    """The euclidean distance-generating setup, d(x) = ||x||^2 / 2, over a
+    feasible set: V(y, x) = ||y - x||^2 / 2."""
 
     feasible: FeasibleSet
-    generator: str = "euclidean"
-
-    EUCLIDEAN = "euclidean"
 
     def __post_init__(self):
-        if self.generator != self.EUCLIDEAN:
-            raise UnsupportedCombinationError(
-                f"no subproblem solver for generator {self.generator!r}"
-            )
         if not isinstance(self.feasible, FeasibleSet):
             raise TypeError("feasible must be a FeasibleSet")
-
-
-def bregman_divergence(setup: ProxSetup, y: Vector, x: Vector) -> float:
-    """Bregman divergence V(y, x) of the setup's generator.
-
-    For the euclidean generator this is exactly ||y - x||^2 / 2.
-    """
-    if len(y) != len(x):
-        raise DimensionMismatchError("arguments live in different dimensions")
-    d = y - x
-    return 0.5 * float(np.dot(d, d))
 
 
 def project_ball(x: Vector, center: Vector, radius: float) -> Vector:
@@ -341,47 +317,27 @@ class Evaluation:
 class ModelOracle:
     """Inexact first-order description of an objective.
 
-    Subclasses provide ``value_inexact`` and ``_gradient``; the default
-    ``model`` is the linear-plus-composite form
+    Subclasses implement ``evaluate(x)``, the one query the solvers make,
+    once per point.  It returns an ``Evaluation``: the inexact value and the
+    composite part h(x) now, the gradient g(x) on demand.  The solvers use
+    the linear-plus-composite model
 
         psi(y, x) = <g(x), y - x> + h(y) - h(x)
 
-    where h is the composite part (zero unless ``has_composite``).
-
-    The solvers query the oracle through ``evaluate``, once per point, and
-    take the anchor gradient from the accepted point's evaluation.  An
-    oracle whose value and gradient share work overrides ``evaluate``.
-    The oracle keeps no state between queries: ``model`` asks for the
-    gradient at ``x`` on every call, and the only memoized gradient is the
-    one an ``Evaluation`` holds for its caller.
+    where h is zero unless ``has_composite``; an oracle with a composite
+    part also provides ``composite_prox``.  The oracle keeps no state
+    between queries: the only memoized gradient is the one an
+    ``Evaluation`` holds for its caller.
     """
 
     gamma: float = 0.0
-    known_L: Optional[float] = None
     known_delta: Optional[float] = None
-    known_Delta: Optional[float] = None
     exact_values: bool = True
     has_composite: bool = False
 
-    def value_inexact(self, x: Vector) -> float:
-        raise NotImplementedError
-
-    def _gradient(self, x: Vector) -> Vector:
-        raise NotImplementedError
-
     def evaluate(self, x: Vector) -> Evaluation:
-        """Query the oracle at ``x``: the value now, the gradient on demand.
-
-        This default calls ``value_inexact`` (and ``composite_part`` when
-        the oracle has a composite part) at once, and ``_gradient`` only
-        when the evaluation's gradient is asked for.
-        """
-        value = self.value_inexact(x)
-        h = self.composite_part(x) if self.has_composite else 0.0
-        return Evaluation(value, h, lambda: self._gradient(x))
-
-    def composite_part(self, y: Vector) -> float:
-        return 0.0
+        """Query the oracle at ``x``: the value now, the gradient on demand."""
+        raise NotImplementedError
 
     def composite_prox(self, v: Vector, weight: float) -> Vector:
         """argmin_u h(u) + ||u - v||^2 / (2 * weight)."""
@@ -391,22 +347,13 @@ class ModelOracle:
             )
         return v
 
-    def model(self, y: Vector, x: Vector) -> float:
-        """psi(y, x): the model of f(y) - f(x) around the anchor ``x``."""
-        g = self._gradient(x)
-        if len(g) != len(y):
-            raise DimensionMismatchError("model arguments live in different dimensions")
-        val = float(np.dot(g, y - x))
-        if self.has_composite:
-            val += self.composite_part(y) - self.composite_part(x)
-        return val
-
 
 class FunctionOracle(ModelOracle):
     """Exact-value oracle built from value/gradient callables.
 
-    ``gradient_fn`` may return any subgradient at kinks; the model is the
-    plain linear one.
+    ``evaluate`` calls ``value_fn`` at once and ``gradient_fn`` when the
+    evaluation's gradient is first asked for.  ``gradient_fn`` may return
+    any subgradient at kinks.
     """
 
     def __init__(
@@ -415,54 +362,14 @@ class FunctionOracle(ModelOracle):
         gradient_fn: Callable[[Vector], Vector],
         *,
         gamma: float = 0.0,
-        known_L: Optional[float] = None,
-        known_delta: Optional[float] = None,
-        known_Delta: Optional[float] = None,
     ):
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
         self.gamma = float(gamma)
-        self.known_L = known_L
-        self.known_delta = known_delta
-        self.known_Delta = known_Delta
 
-    def value_inexact(self, x: Vector) -> float:
-        return float(self._value_fn(x))
-
-    def _gradient(self, x: Vector) -> Vector:
-        return np.asarray(self._gradient_fn(x), dtype=np.float64)
-
-
-def check_oracle_conformance(
-    oracle: ModelOracle,
-    point_factory: Callable[[], Vector],
-    trials: int = 1000,
-    tol: float = 1e-9,
-) -> list:
-    """Check the model contract on randomly drawn points.
-
-    Verifies psi(x, x) = 0 and midpoint convexity of psi(., x) on random
-    triples.  Returns a list of human-readable violations (empty when the
-    oracle conforms).  Every ``model`` call queries the gradient afresh, so
-    an oracle that draws new gradient noise per query does not conform.
-    """
-    failures = []
-    for i in range(min(trials, 100)):
-        x = point_factory()
-        v = oracle.model(x, x)
-        if abs(v) > tol:
-            failures.append(f"psi(x, x) = {v!r} != 0 at sample {i}")
-    for i in range(trials):
-        x = point_factory()
-        y = point_factory()
-        z = point_factory()
-        mid = 0.5 * (y + z)
-        lhs = oracle.model(mid, x)
-        py, pz = oracle.model(y, x), oracle.model(z, x)
-        rhs = 0.5 * (py + pz)
-        scale = max(1.0, abs(py), abs(pz))
-        if lhs > rhs + tol * scale:
-            failures.append(
-                f"midpoint convexity violated at triple {i}: {lhs!r} > {rhs!r}"
-            )
-    return failures
+    def evaluate(self, x: Vector) -> Evaluation:
+        return Evaluation(
+            float(self._value_fn(x)),
+            0.0,
+            lambda: np.asarray(self._gradient_fn(x), dtype=np.float64),
+        )

@@ -86,7 +86,8 @@ class PLConfig:
     adapt_Delta: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", as_vector(self.x0))
+        # a private copy, as in ConvexConfig: no later caller write reaches it
+        object.__setattr__(self, "x0", as_vector(self.x0).copy())
         if not (self.L0 > 0 and np.isfinite(self.L0)):
             raise ValueError("L0 must be positive and finite")
         if not (0 <= self.delta0 < math.inf and 0 <= self.Delta0 < math.inf):

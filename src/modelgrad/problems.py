@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     Evaluation,
     FeasibleSet,
-    FunctionOracle,
     ModelOracle,
     ProxSetup,
     UnsupportedCombinationError,
@@ -60,15 +59,14 @@ def _as_centers(centers) -> np.ndarray:
     return a
 
 
-class _ProblemOracle(FunctionOracle):
-    """``FunctionOracle`` over a problem's value and (sub)gradient, whose
-    ``evaluate`` is the problem's own unchecked ``_evaluate``: one sweep per
-    point, and no check of a point the solver formed itself.  The caller
-    passes a 1-D float64 array of the problem's dimension; the solvers
-    refuse a non-finite trial point before they evaluate it."""
+class _ProblemOracle(ModelOracle):
+    """Exact oracle whose ``evaluate`` is a problem's own unchecked
+    ``_evaluate``: one sweep per point, and no check of a point the solver
+    formed itself.  The caller passes a 1-D float64 array of the problem's
+    dimension; the solvers refuse a non-finite trial point before they
+    evaluate it."""
 
-    def __init__(self, problem, gradient_fn, **meta):
-        super().__init__(problem.value, gradient_fn, **meta)
+    def __init__(self, problem):
         self._evaluate = problem._evaluate
 
     def evaluate(self, x: Vector) -> Evaluation:
@@ -142,8 +140,8 @@ class BallSumProblem:
         x = _checked_point(self, x)
         return kernels.ballsum_subgrad(self.centers, x, self.ball_radius, self.sqnorms)
 
-    def oracle(self) -> FunctionOracle:
-        return _ProblemOracle(self, self.subgradient)
+    def oracle(self) -> ModelOracle:
+        return _ProblemOracle(self)
 
     def prox_setup(self) -> ProxSetup:
         return ProxSetup(self.feasible)
@@ -203,8 +201,8 @@ class MinMaxBallProblem:
                 best = max(best, float(d.max()))
         return 0.5 * best
 
-    def oracle(self) -> FunctionOracle:
-        return _ProblemOracle(self, self.subgradient)
+    def oracle(self) -> ModelOracle:
+        return _ProblemOracle(self)
 
     def prox_setup(self) -> ProxSetup:
         return ProxSetup(self.feasible)
@@ -256,8 +254,8 @@ class PLQuadratic:
     def gradient(self, x: Vector) -> Vector:
         return self.evaluate(x).gradient()
 
-    def oracle(self) -> FunctionOracle:
-        return _ProblemOracle(self, self.gradient, known_L=self.L)
+    def oracle(self) -> ModelOracle:
+        return _ProblemOracle(self)
 
 
 def least_squares(A: np.ndarray, b: Vector, x: Vector) -> Evaluation:
@@ -299,9 +297,8 @@ class NoisyOracle(ModelOracle):
     """Wraps an oracle with bounded value and gradient perturbations.
 
     Values drop by at most ``delta`` (uniform), gradients move by at most
-    ``Delta`` in norm.  Every query draws fresh noise: two gradient queries
-    at the same point (two ``_gradient`` or ``model`` calls, or two
-    evaluations) see different perturbations, while one evaluation's
+    ``Delta`` in norm.  Every evaluation draws fresh noise: two evaluations
+    at the same point see different perturbations, while one evaluation's
     ``gradient()`` returns the same vector each time.  ``evaluate`` draws
     the value noise when it is called and the gradient noise when the
     evaluation's gradient is first asked for.  The gradient error degrades
@@ -332,26 +329,18 @@ class NoisyOracle(ModelOracle):
         self._rng = np.random.default_rng(seed)
         self._direction = None if direction is None else _unit(direction)
         self.gamma = inner.gamma + self.Delta
-        self.known_L = inner.known_L
         self.known_delta = self.delta
-        self.known_Delta = self.Delta
         self.exact_values = self.delta == 0.0 and inner.exact_values
         self.has_composite = inner.has_composite
 
     def evaluate(self, x: Vector) -> Evaluation:
         ev = self.inner.evaluate(x)
-        f = self._noisy_value(ev.value)
+        f = ev.value
+        if self.delta != 0.0:
+            f -= self.delta * float(self._rng.uniform())
         if self.Delta == 0.0:
             return Evaluation(f, ev.h, ev.gradient)
         return Evaluation(f, ev.h, lambda: self._perturb(ev.gradient(), len(x)))
-
-    def value_inexact(self, x: Vector) -> float:
-        return self._noisy_value(self.inner.value_inexact(x))
-
-    def _noisy_value(self, f: float) -> float:
-        if self.delta == 0.0:
-            return f
-        return f - self.delta * float(self._rng.uniform())
 
     def _unit_direction(self, n: int) -> Vector:
         if self.mode == "adversarial-fixed-direction":
@@ -367,12 +356,6 @@ class NoisyOracle(ModelOracle):
         d /= nrm
         return d
 
-    def _gradient(self, x: Vector) -> Vector:
-        g = self.inner._gradient(x)
-        if self.Delta == 0.0:
-            return g
-        return self._perturb(g, len(x))
-
     def _perturb(self, g: Vector, n: int) -> Vector:
         u = self._unit_direction(n)
         if self.mode == "adversarial-fixed-direction":
@@ -387,9 +370,6 @@ class NoisyOracle(ModelOracle):
                 f"Delta = {self.Delta!r}"
             )
         return g_noisy
-
-    def composite_part(self, y: Vector) -> float:
-        return self.inner.composite_part(y)
 
     def composite_prox(self, v: Vector, weight: float) -> Vector:
         return self.inner.composite_prox(v, weight)
@@ -434,63 +414,35 @@ class BallIndicator:
 
 
 class CompositeOracle(ModelOracle):
-    """Smooth part by value/gradient callables, nonsmooth part by prox.
+    """Smooth part by its own ``evaluate``, nonsmooth part by prox.
 
-    ``evaluate_fn``, when given, is the smooth part's own ``evaluate``
-    (x -> ``Evaluation``), used where its value and gradient share work;
-    otherwise ``evaluate`` calls ``value_fn`` at once and ``gradient_fn``
-    on demand.  Either way it computes the penalty once per point.
+    ``smooth_evaluate`` maps x to the smooth part's ``Evaluation``; wrap
+    value/gradient callables as ``FunctionOracle(value_fn,
+    gradient_fn).evaluate``.  ``evaluate`` computes the penalty once per
+    point.
     """
 
     has_composite = True
 
-    def __init__(
-        self,
-        value_fn: Callable,
-        gradient_fn: Callable,
-        penalty,
-        *,
-        evaluate_fn: Optional[Callable[[Vector], Evaluation]] = None,
-        **meta,
-    ):
-        self._value_fn = value_fn
-        self._gradient_fn = gradient_fn
-        self._evaluate_smooth = evaluate_fn or self._evaluate_callables
+    def __init__(self, smooth_evaluate: Callable[[Vector], Evaluation], penalty):
+        self._evaluate_smooth = smooth_evaluate
         self.penalty = penalty
-        for key, val in meta.items():
-            if not hasattr(type(self), key):
-                raise TypeError(f"unknown oracle attribute {key!r}")
-            setattr(self, key, val)
-
-    def _evaluate_callables(self, x: Vector) -> Evaluation:
-        return Evaluation(self._value_fn(x), 0.0, lambda: self._gradient_fn(x))
 
     def evaluate(self, x: Vector) -> Evaluation:
         smooth = self._evaluate_smooth(x)
-        h = self.composite_part(x)
+        h = float(self.penalty.value(x))
         return Evaluation(float(smooth.value) + h, h, lambda: as_vector(smooth.gradient()))
-
-    def value_inexact(self, x: Vector) -> float:
-        return float(self._value_fn(x)) + self.composite_part(x)
-
-    def _gradient(self, x: Vector) -> Vector:
-        return as_vector(self._gradient_fn(x))
-
-    def composite_part(self, y: Vector) -> float:
-        return float(self.penalty.value(y))
 
     def composite_prox(self, v: Vector, weight: float) -> Vector:
         return self.penalty.prox(v, weight)
 
 
-def composite_oracle(
-    value_fn, gradient_fn, penalty, *, evaluate_fn=None, **meta
-) -> CompositeOracle:
+def composite_oracle(smooth_evaluate, penalty) -> CompositeOracle:
     if not (hasattr(penalty, "value") and hasattr(penalty, "prox")):
         raise UnsupportedCombinationError(
             "composite penalty must provide value() and prox()"
         )
-    return CompositeOracle(value_fn, gradient_fn, penalty, evaluate_fn=evaluate_fn, **meta)
+    return CompositeOracle(smooth_evaluate, penalty)
 
 
 def save_centers(centers: np.ndarray, path) -> None:

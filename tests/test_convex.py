@@ -47,9 +47,8 @@ class TestModelStep:
         np.testing.assert_array_equal(x, [1.0, 0.0])
 
     def test_composite_part_soft_thresholds(self):
-        oracle = composite_oracle(
-            lambda x: -3.0 * float(x[0]), lambda x: np.array([-3.0]), L1Penalty(1.0)
-        )
+        smooth = FunctionOracle(lambda x: -3.0 * float(x[0]), lambda x: np.array([-3.0]))
+        oracle = composite_oracle(smooth.evaluate, L1Penalty(1.0))
         x = model_step(oracle, WHOLE, np.zeros(1), 1.0, np.array([-3.0]))
         np.testing.assert_array_equal(x, [2.0])
 

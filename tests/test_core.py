@@ -18,8 +18,6 @@ from modelgrad.core import (
     UnsupportedCombinationError,
     as_vector,
     backtrack,
-    bregman_divergence,
-    check_oracle_conformance,
     norm,
     project_ball,
 )
@@ -125,27 +123,6 @@ class TestProjectBall:
         np.testing.assert_array_equal(project_ball(y, center, radius), y)
 
 
-class TestBregman:
-    def setup_method(self):
-        self.setup = ProxSetup(FeasibleSet.whole_space())
-
-    def test_frozen_value(self):
-        # V((3,4), 0) = (9 + 16) / 2 = 12.5
-        assert bregman_divergence(self.setup, np.array([3.0, 4.0]), np.zeros(2)) == 12.5
-
-    def test_zero_at_equal_points(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert bregman_divergence(self.setup, x, x) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            bregman_divergence(self.setup, np.zeros(2), np.zeros(3))
-
-    def test_non_euclidean_setup_is_rejected_at_construction(self):
-        with pytest.raises(UnsupportedCombinationError):
-            ProxSetup(FeasibleSet.whole_space(), generator="entropy")
-
-
 class TestBacktrack:
     def test_doubles_all_three_and_clamps_Delta(self):
         tried = []
@@ -200,71 +177,21 @@ class TestBacktrack:
 
 
 class TestModelOracle:
-    def test_linear_model_frozen_value(self):
-        oracle = FunctionOracle(lambda x: 0.0, lambda x: np.array([1.0, 2.0]))
-        x = np.zeros(2)
-        y = np.array([3.0, -1.0])
-        # <(1,2), (3,-1)> = 1
-        assert oracle.model(y, x) == 1.0
-        assert oracle.model(x, x) == 0.0
-
     def test_model_sees_an_in_place_change_of_the_anchor(self):
-        # psi(y, x) = <g(x), y - x> must use the gradient at x as it is now:
-        # after x *= 5, g(x) = (5, 5) and psi(0, x) = -50, not -10
+        # the oracle keeps nothing from a query: after x *= 5, a fresh
+        # evaluation's gradient is g(x) = (5, 5), not the (1, 1) of before
         oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
-        x, y = np.ones(2), np.zeros(2)
-        assert oracle.model(y, x) == -2.0
+        x = np.ones(2)
+        assert oracle.evaluate(x).gradient().tolist() == [1.0, 1.0]
         x *= 5
-        assert oracle.model(y, x) == float(np.dot(oracle.evaluate(x).gradient(), y - x))
-        assert oracle.model(y, x) == -50.0
-
-    def test_model_dimension_mismatch(self):
-        oracle = FunctionOracle(lambda x: 0.0, lambda x: x)
-        with pytest.raises(DimensionMismatchError):
-            oracle.model(np.zeros(3), np.zeros(2))
+        assert oracle.evaluate(x).gradient().tolist() == [5.0, 5.0]
 
     def test_composite_prox_requires_override(self):
         class Broken(ModelOracle):
             has_composite = True
 
-            def value_inexact(self, x):
-                return 0.0
-
-            def _gradient(self, x):
-                return x
-
         with pytest.raises(UnsupportedCombinationError):
             Broken().composite_prox(np.zeros(2), 1.0)
-
-
-class TestConformance:
-    def test_linear_model_conforms(self):
-        rng = np.random.default_rng(0)
-        oracle = FunctionOracle(
-            lambda x: float(x @ x), lambda x: 2.0 * x
-        )
-        failures = check_oracle_conformance(
-            oracle, lambda: rng.standard_normal(3), trials=200
-        )
-        assert failures == []
-
-    def test_concave_model_is_flagged(self):
-        class Concave(ModelOracle):
-            def value_inexact(self, x):
-                return 0.0
-
-            def _gradient(self, x):
-                return np.zeros_like(x)
-
-            def model(self, y, x):
-                d = y - x
-                return -float(d @ d)
-
-        rng = np.random.default_rng(1)
-        failures = check_oracle_conformance(
-            Concave(), lambda: rng.standard_normal(3), trials=100
-        )
-        assert failures
 
 
 def _modules_with_exports():

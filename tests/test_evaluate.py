@@ -1,8 +1,8 @@
 """The fused oracle evaluation and the solvers that carry it forward.
 
-Every shipped oracle's ``evaluate`` must give the solvers exactly what its
-``value_inexact`` and ``_gradient`` give, in the same noise draw order, and
-each point must be swept (or its residual computed) once.
+Every shipped oracle's ``evaluate`` must give the solvers exactly what the
+problem's separate value and (sub)gradient methods give, in the same noise
+draw order, and each point must be swept (or its residual computed) once.
 """
 
 import math
@@ -12,74 +12,64 @@ import pytest
 
 from modelgrad import harness, kernels, problems
 from modelgrad.convex import ConvexConfig, convex_minimize, model_step
-from modelgrad.core import (
-    Evaluation,
-    FeasibleSet,
-    FunctionOracle,
-    ModelOracle,
-    ProxSetup,
-    UnsupportedCombinationError,
-)
+from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle, ProxSetup
 from modelgrad.harness import ExperimentSpec
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from modelgrad.pl import PLConfig, pl_minimize
-from modelgrad.problems import NoisyOracle, generate_task1, generate_task2, pl_quadratic_make
+from modelgrad.problems import (
+    L1Penalty,
+    NoisyOracle,
+    composite_oracle,
+    generate_task1,
+    generate_task2,
+    least_squares,
+    pl_quadratic_make,
+)
 
 N_DIM = 30
 WHOLE = ProxSetup(FeasibleSet.whole_space())
 DELTA, SMALL_DELTA = 0.05, 0.01
 
 
-class ValueGradientOnly(ModelOracle):
-    """Exposes only ``value_inexact``/``_gradient`` of ``inner``, so its
-    ``evaluate`` is the base class default."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        for key in ("gamma", "known_L", "known_delta", "known_Delta",
-                    "exact_values", "has_composite"):
-            setattr(self, key, getattr(inner, key))
-
-    def value_inexact(self, x):
-        return self.inner.value_inexact(x)
-
-    def _gradient(self, x):
-        return self.inner._gradient(x)
-
-    def composite_part(self, y):
-        return self.inner.composite_part(y)
-
-    def composite_prox(self, v, weight):
-        return self.inner.composite_prox(v, weight)
-
-
 def _problem(kind):
-    """(oracle factory, setup) of one shipped oracle family."""
-    if kind == "ballsum":
-        prob = generate_task1(n=N_DIM, m=5, seed=1)
-        return prob.oracle, prob.prox_setup()
-    if kind == "minmax":
-        prob = generate_task2(n=N_DIM, m=5, seed=2)
-        return prob.oracle, prob.prox_setup()
+    """(oracle factory, reference factory, setup) of one shipped oracle
+    family.  The reference is a ``FunctionOracle`` over the problem's own
+    ``value`` and (sub)gradient methods, which sweep each point separately;
+    for composite, its smooth part calls ``least_squares`` once for the
+    value and once more for the gradient."""
+    if kind in ("ballsum", "minmax"):
+        make = generate_task1 if kind == "ballsum" else generate_task2
+        prob = make(n=N_DIM, m=5, seed=1 if kind == "ballsum" else 2)
+        return prob.oracle, lambda: FunctionOracle(prob.value, prob.subgradient), prob.prox_setup()
     if kind == "quadratic":
         rng = np.random.default_rng(3)
         prob = pl_quadratic_make(rng.standard_normal((20, N_DIM)), rng.standard_normal(20))
-        return prob.oracle, WHOLE
+        return prob.oracle, lambda: FunctionOracle(prob.value, prob.gradient), WHOLE
     spec = ExperimentSpec(task="composite", n=N_DIM, m=20)
-    return (lambda: harness._composite_objects(spec, 4)), WHOLE
+    rng = np.random.default_rng(4)  # the data harness._composite_objects draws for seed 4
+    A = rng.standard_normal((20, N_DIM))
+    b = rng.standard_normal(20)
+    smooth = FunctionOracle(
+        lambda x: least_squares(A, b, x).value, lambda x: least_squares(A, b, x).gradient()
+    )
+
+    def reference():
+        return composite_oracle(smooth.evaluate, L1Penalty(harness._COMPOSITE_WEIGHT))
+
+    return (lambda: harness._composite_objects(spec, 4)), reference, WHOLE
 
 
 def _oracles(kind, mode):
-    """The same oracle twice: queried through its own ``evaluate``, and
-    through ``value_inexact``/``_gradient`` only."""
-    make, setup = _problem(kind)
+    """The shipped oracle and its reference, both wrapped in the same
+    noise when ``mode`` is set."""
+    make, reference, setup = _problem(kind)
     if mode is None:
-        return make(), ValueGradientOnly(make()), setup
+        return make(), reference(), setup
 
-    def noisy():
-        return NoisyOracle(make(), Delta=DELTA, delta=SMALL_DELTA, mode=mode, seed=5)
+    def noisy(inner):
+        return NoisyOracle(inner, Delta=DELTA, delta=SMALL_DELTA, mode=mode, seed=5)
 
-    return noisy(), ValueGradientOnly(noisy()), setup
+    return noisy(make()), noisy(reference()), setup
 
 
 def _run(solver, oracle, setup, noisy):
@@ -123,12 +113,10 @@ NOISE = (None,) + NoisyOracle.MODES
     [("convex", m) for m in NOISE] + [("nonsmooth", None)] + [("pl", m) for m in NOISE],
 )
 def test_fused_evaluation_gives_bitwise_equal_traces(kind, solver, mode):
-    fused, plain, setup = _oracles(kind, mode)
-    assert type(fused).evaluate is not ModelOracle.evaluate
-    assert type(plain).evaluate is ModelOracle.evaluate
+    fused, reference, setup = _oracles(kind, mode)
     trace = _run(solver, fused, setup, mode is not None)
     assert trace.N_run > 0
-    _assert_traces_equal(trace, _run(solver, plain, setup, mode is not None))
+    _assert_traces_equal(trace, _run(solver, reference, setup, mode is not None))
 
 
 def test_composite_decisions_match_the_oracle_model():
@@ -175,28 +163,12 @@ def test_each_point_is_computed_once(monkeypatch, kind, solver):
     _count(monkeypatch, problems, "least_squares", sweeps)
     _count(monkeypatch, harness, "least_squares", sweeps)
     _count(monkeypatch, problems.L1Penalty, "value", l1)
-    make, setup = _problem(kind)
+    make, _, setup = _problem(kind)
     trace = _run(solver, make(), setup, False)
     evaluations = int(trace.inner_hist.sum()) + 1
     assert trace.N_run == 40
     assert sweeps[0] == evaluations
     assert l1[0] == (evaluations if kind == "composite" else 0)
-
-
-class _OwnModel(FunctionOracle):
-    def model(self, y, x):
-        return super().model(y, x) + float((y - x) @ (y - x))
-
-
-def test_oracle_with_its_own_model_is_refused():
-    oracle = _OwnModel(lambda x: float(x @ x), lambda x: 2.0 * x)
-    x0 = np.ones(3)
-    with pytest.raises(UnsupportedCombinationError, match="model"):
-        convex_minimize(ConvexConfig(x0=x0, N=5), oracle, WHOLE)
-    with pytest.raises(UnsupportedCombinationError, match="model"):
-        nonsmooth_minimize(
-            NonsmoothConfig(base=ConvexConfig(x0=x0, N=5), epsilon=0.1), oracle, WHOLE
-        )
 
 
 class TestEvaluation:
@@ -227,22 +199,29 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_shipped_oracles_match_their_value_and_gradient(self, kind):
-        make, _ = _problem(kind)
-        oracle = make()
+        make, reference, _ = _problem(kind)
         x = np.random.default_rng(6).standard_normal(N_DIM) * 0.3
-        ev = oracle.evaluate(x)
-        assert ev.value == oracle.value_inexact(x)
-        assert ev.h == oracle.composite_part(x)
-        assert ev.gradient().tobytes() == oracle._gradient(x).tobytes()
+        ev, ref = make().evaluate(x), reference().evaluate(x)
+        assert ev.value == ref.value
+        assert ev.h == ref.h
+        assert ev.gradient().tobytes() == ref.gradient().tobytes()
 
     def test_noisy_gradient_noise_drawn_on_demand(self):
-        make, _ = _problem("quadratic")
+        make, reference, _ = _problem("quadratic")
         x = np.full(N_DIM, 0.1)
         a = NoisyOracle(make(), Delta=DELTA, delta=SMALL_DELTA, seed=7)
-        b = NoisyOracle(make(), Delta=DELTA, delta=SMALL_DELTA, seed=7)
+        b = NoisyOracle(reference(), Delta=DELTA, delta=SMALL_DELTA, seed=7)
         first, second = a.evaluate(x), a.evaluate(2.0 * x)
-        assert first.value == b.value_inexact(x)
-        assert second.value == b.value_inexact(2.0 * x)
+        ref_first, ref_second = b.evaluate(x), b.evaluate(2.0 * x)
+        assert (first.value, second.value) == (ref_first.value, ref_second.value)
+        assert second.gradient().tobytes() == ref_second.gradient().tobytes()
         # the gradient noise is drawn after both value draws, as a solver
         # that anchors at the second point would draw it
-        assert second.gradient().tobytes() == b._gradient(2.0 * x).tobytes()
+        exact = reference()
+        rng = np.random.default_rng(7)
+        assert first.value == exact.evaluate(x).value - SMALL_DELTA * rng.uniform()
+        assert second.value == exact.evaluate(2.0 * x).value - SMALL_DELTA * rng.uniform()
+        u = rng.standard_normal(N_DIM)
+        u /= math.sqrt(u.dot(u))
+        expected = exact.evaluate(2.0 * x).gradient() + (DELTA * rng.uniform()) * u
+        assert second.gradient().tobytes() == expected.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modelgrad.core import FeasibleSet, UnsupportedCombinationError
+from modelgrad.core import FeasibleSet, FunctionOracle, UnsupportedCombinationError
 from modelgrad.problems import (
     BallIndicator,
     BallSumProblem,
@@ -136,11 +136,6 @@ class TestPLQuadratic:
         with pytest.raises(ValueError):
             pl_quadratic_make(np.zeros((3, 3)), np.ones(3))
 
-    def test_oracle_carries_known_L(self):
-        A = np.eye(2) * 2.0
-        prob = pl_quadratic_make(A, np.zeros(2))
-        assert prob.oracle().known_L == prob.L
-
     def test_f_star_zero_on_consistent_system(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((6, 4))
@@ -173,7 +168,7 @@ class TestNoisyOracle:
         prob = self._base()
         noisy = NoisyOracle(prob.oracle(), Delta=0.3, delta=0.1)
         assert noisy.gamma == 0.3
-        assert noisy.known_Delta == 0.3 and noisy.known_delta == 0.1
+        assert noisy.known_delta == 0.1
         assert not noisy.exact_values
         exact = NoisyOracle(prob.oracle(), Delta=0.3, delta=0.0)
         assert exact.exact_values
@@ -182,7 +177,7 @@ class TestNoisyOracle:
         prob = self._base()
         noisy = NoisyOracle(prob.oracle(), Delta=0.0, delta=0.0)
         x = np.array([0.3, -0.7, 1.1, 0.0])
-        assert noisy.value_inexact(x) == prob.value(x)
+        assert noisy.evaluate(x).value == prob.value(x)
         np.testing.assert_array_equal(noisy.evaluate(x).gradient(), prob.gradient(x))
 
     def test_deterministic_for_fixed_seed(self):
@@ -196,7 +191,8 @@ class TestNoisyOracle:
         prob = self._base()
         noisy = NoisyOracle(prob.oracle(), Delta=0.2, seed=3)
         x = np.ones(4)
-        assert noisy._gradient(x).tobytes() != noisy._gradient(x).tobytes()
+        first, second = noisy.evaluate(x), noisy.evaluate(x)
+        assert first.gradient().tobytes() != second.gradient().tobytes()
         ev = noisy.evaluate(x)
         assert ev.gradient() is ev.gradient()
 
@@ -265,10 +261,13 @@ class TestPenalties:
 
     def test_composite_oracle_value_splits(self):
         oracle = composite_oracle(
-            lambda x: 0.5 * float(x @ x), lambda x: x.copy(), L1Penalty(0.1)
+            FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy()).evaluate,
+            L1Penalty(0.1),
         )
         x = np.array([2.0, -1.0])
-        assert oracle.value_inexact(x) == pytest.approx(2.5 + 0.3)
+        ev = oracle.evaluate(x)
+        assert ev.value == pytest.approx(2.5 + 0.3)
+        assert ev.h == pytest.approx(0.3)
         assert oracle.has_composite
 
     def test_composite_requires_prox(self):
@@ -277,7 +276,7 @@ class TestPenalties:
                 return 0.0
 
         with pytest.raises(UnsupportedCombinationError):
-            composite_oracle(lambda x: 0.0, lambda x: x, NoProx())
+            composite_oracle(FunctionOracle(lambda x: 0.0, lambda x: x).evaluate, NoProx())
 
 
 def test_centers_roundtrip_is_bitwise(tmp_path):

@@ -114,8 +114,9 @@ def test_finite_point_with_an_overflowing_step_is_evaluated():
 
 @pytest.mark.parametrize("solver", SOLVERS + ("composite",))
 def test_solvers_write_into_no_point_they_keep(solver):
-    """The caller's x0 is unchanged; re-evaluating each stored iterate gives
-    its recorded value bitwise; x_final is the last iterate."""
+    """The caller's x0 is unchanged, and a later write into it reaches no
+    point the trace keeps; re-evaluating each stored iterate gives its
+    recorded value bitwise; x_final is the last iterate."""
     if solver == "composite":
         oracle = _composite_objects(ExperimentSpec(task="composite", n=N_DIM, m=15), 4)
         fresh = lambda: _composite_objects(  # noqa: E731
@@ -128,8 +129,10 @@ def test_solvers_write_into_no_point_they_keep(solver):
     x0 = np.random.default_rng(9).uniform(-0.05, 0.05, N_DIM)
     before = x0.copy()
     trace = _solve(run_as, oracle, setup, x0)
-    assert trace.x0 is x0  # the config keeps the caller's array itself
     assert x0.tobytes() == before.tobytes()
+    x0 += 1.0
+    assert trace.x0.tobytes() == before.tobytes()
+    assert trace.iterates[0].tobytes() == before.tobytes()
     assert trace.N_run > 0
     assert len(trace.iterates) == trace.N_run + 1
     check = fresh()
