@@ -5,12 +5,14 @@ it) next to the direct formula it replaced, which forms the (m, n)
 difference matrix, at the sizes of the paper's protocols and beyond.
 
 Then times the layers one solver trial runs through, on task1's geometry:
-the model step with its projection onto the unit ball (a step that stays
-inside and one that is projected), one evaluation through the oracle the
-solvers query and one through the public ``problem.evaluate``, which
-checks its point, and the bookkeeping of an accepted step
-(``convex._record``).  Run the script with another checkout's ``src`` on
-PYTHONPATH to compare these layers across versions.
+the distance sweep each evaluation makes (task1's ball sum, task2's
+min-max), the model step with its projection onto the unit ball at the
+origin (a step that stays inside and one that is projected), the inside
+test of that projection alone and of one on a ball off the origin, one
+evaluation through the oracle the solvers query and one through the
+public ``problem.evaluate``, which checks its point, and the bookkeeping
+of an accepted step (``convex._record``).  Run the script with another
+checkout's ``src`` on PYTHONPATH to compare these layers across versions.
 
 Reports the best per-call microseconds of each, and each kernel's
 speed-up over its direct formula.  BLAS and OpenMP run on one thread, as
@@ -31,7 +33,8 @@ import time
 import numpy as np
 
 from modelgrad import convex, kernels
-from modelgrad.problems import BallSumProblem
+from modelgrad.core import FeasibleSet
+from modelgrad.problems import BallSumProblem, MinMaxBallProblem
 
 SIZES = "1000x10,10000x10,100000x10,1000x1000"
 
@@ -54,10 +57,23 @@ def direct_minmax_value(centers, x):
     return float(dists[j]), j
 
 
+def ballsum_sweep(centers, x, radius, sqnorms):
+    """The sweep ``BallSumProblem`` makes per evaluation: one pass over the
+    rows where the kernels have ``ballsum_sweep``, else the two of
+    ``sq_dists`` and ``ballsum_value_from``."""
+    if hasattr(kernels, "ballsum_sweep"):
+        return kernels.ballsum_sweep(centers, x, radius, sqnorms)
+    sq, redo = kernels.sq_dists(centers, x, sqnorms, radius * radius)
+    return kernels.ballsum_value_from(sq, radius), sq, redo
+
+
 def trial_path_cases(centers, x, rng):
     """(layer, call) pairs at one size, on task1's geometry."""
     prob = BallSumProblem(centers)
     oracle, setup = prob.oracle(), prob.prox_setup()
+    sqnorms = prob.sqnorms
+    minmax = MinMaxBallProblem(centers)
+    off_origin = FeasibleSet.ball(np.full(len(x), 1e-3), 1.0)
     n = centers.shape[1]
     g = prob.subgradient(x)
     g_out = rng.standard_normal(n)  # a step of length 2 leaves the unit ball
@@ -66,8 +82,12 @@ def trial_path_cases(centers, x, rng):
     state = convex.ConvexState(x=x, f_x=0.0, triple=(1.0, 0.0, 0.0), weighted_sum=np.zeros(n))
     trial = oracle.evaluate(x)
     return (
+        ("ballsum sweep", lambda: ballsum_sweep(centers, x, 1.0, sqnorms)),
+        ("minmax sweep", lambda: kernels.minmax_value(centers, x, minmax.sqnorms)),
         ("model_step inside", lambda: convex.model_step(oracle, setup, x, L_in, g)),
         ("model_step projected", lambda: convex.model_step(oracle, setup, x, 1.0, g_out)),
+        ("project inside", lambda: setup.feasible.project(x)),
+        ("project inside, off 0", lambda: off_origin.project(x)),
         ("oracle.evaluate", lambda: oracle.evaluate(x)),
         ("problem.evaluate", lambda: prob.evaluate(x)),
         ("_record", lambda: convex._record(state, x, trial, 1.0, 0.0, 0.0, 0.1, 2)),

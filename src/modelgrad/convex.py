@@ -165,15 +165,16 @@ def model_step(
     euclidean setup and a linear-plus-composite model this is the proximal
     point of the composite part at x_k - g/L with weight 1/L, projected onto
     the feasible set; with no composite part it reduces to a projected
-    gradient step.  x_k - g/L is formed in the fresh array g/L, so ``g``
-    must be float64 like ``x_k``, as the shipped oracles' gradients are.
+    gradient step.  x_k - g/L is formed as g / -L plus x_k in one fresh
+    array: x + (-y) is x - y bitwise, and g / -L is -(g/L).  So ``g`` must
+    be float64 like ``x_k``, as the shipped oracles' gradients are.
     """
     if not L > 0:
         raise ValueError("L must be positive")
     if len(g) != len(x_k):
         raise ValueError("oracle gradient dimension differs from the iterate")
-    v = g / L
-    np.subtract(x_k, v, out=v)  # x_k - g/L in the buffer of g/L
+    v = g / -L
+    v += x_k
     if oracle.has_composite:
         v = oracle.composite_prox(v, 1.0 / L)
     return setup.feasible.project(v)
@@ -352,6 +353,8 @@ def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -
         and oracle.gamma == 0
         and report_delta is not None
     )
+    R_sq = None if config.R is None else config.R**2
+    gap = report_delta or 0.0
     stopped_early = False
     t_start = time.perf_counter()
     for _ in range(config.N):
@@ -360,8 +363,8 @@ def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -
         except NonTerminationError as err:
             err.partial_trace = _finalize(state, f0, x0, False)
             raise
-        if config.R is not None:
-            cert = (config.R**2 + state.noise_sum) / state.S + (report_delta or 0.0)
+        if R_sq is not None:
+            cert = (R_sq + state.noise_sum) / state.S + gap
         else:
             cert = math.nan
         state.cert_hist.append(cert)

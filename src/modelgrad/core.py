@@ -13,7 +13,7 @@ carry the accepted trial's ``Evaluation`` to the next iteration's anchor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +21,8 @@ import numpy as np
 Vector = np.ndarray
 
 _EPS = float(np.finfo(np.float64).eps)
+# a point at most this many radii from a ball's center is inside it
+_BOUNDARY = 1.0 + 4.0 * _EPS
 
 __all__ = [
     "Vector",
@@ -169,11 +171,18 @@ def as_vector(x) -> Vector:
 
 @dataclass(frozen=True, eq=False)
 class FeasibleSet:
-    """Closed convex feasible set: the whole space or a euclidean ball."""
+    """Closed convex feasible set: the whole space or a euclidean ball.
+
+    A ball keeps a private read-only copy of its center, so a later write
+    into the caller's array cannot move it, and notes once whether that
+    center is the origin: there ``project`` needs no difference vector to
+    see that a point is inside.
+    """
 
     kind: str
     center: Optional[Vector] = None
     radius: Optional[float] = None
+    _at_origin: bool = field(default=False, init=False, repr=False)
 
     WHOLE_SPACE = "whole-space"
     BALL = "euclidean-ball"
@@ -182,8 +191,11 @@ class FeasibleSet:
         if self.kind == self.BALL:
             if self.center is None or self.radius is None:
                 raise ValueError("a ball needs both a center and a radius")
-            object.__setattr__(self, "center", as_vector(self.center))
+            center = as_vector(self.center).copy()
+            center.setflags(write=False)
+            object.__setattr__(self, "center", center)
             object.__setattr__(self, "radius", float(self.radius))
+            object.__setattr__(self, "_at_origin", not center.any())
             if not (self.radius > 0 and np.isfinite(self.radius)):
                 raise ValueError("ball radius must be positive and finite")
         elif self.kind == self.WHOLE_SPACE:
@@ -201,8 +213,19 @@ class FeasibleSet:
         return cls(cls.BALL, center, radius)
 
     def project(self, x: Vector) -> Vector:
+        """The projection of ``x``: ``project_ball``'s result on a ball.
+
+        On a ball at the origin ||x - center|| is ||x|| bitwise (signed
+        zeros square alike), so a point inside is returned after one dot
+        product, and a point outside is moved with that distance.
+        """
         if self.kind == self.WHOLE_SPACE:
             return x
+        if self._at_origin and len(x) == len(self.center):
+            dist = norm(x)
+            if dist <= self.radius * _BOUNDARY:
+                return x
+            return _onto_sphere(x - self.center, dist, self.center, self.radius)
         return project_ball(x, self.center, self.radius)
 
     def contains(self, x: Vector, tol: float = 1e-9) -> bool:
@@ -237,10 +260,15 @@ def project_ball(x: Vector, center: Vector, radius: float) -> Vector:
         raise DimensionMismatchError("point and center dimensions differ")
     d = x - center
     dist = norm(d)
-    if dist <= radius * (1.0 + 4.0 * _EPS):
+    if dist <= radius * _BOUNDARY:
         return x
-    # center + d * radius / dist, in place: one rounding per coordinate for
-    # the scaling (not d * (radius/dist)), and the sum commutes bitwise.
+    return _onto_sphere(d, dist, center, radius)
+
+
+def _onto_sphere(d: Vector, dist: float, center: Vector, radius: float) -> Vector:
+    """center + d * radius / dist for d = x - center at distance ``dist``,
+    formed in d: one rounding per coordinate for the scaling (not
+    d * (radius/dist)), and the sum commutes bitwise."""
     d *= radius
     d /= dist
     d += center

@@ -27,9 +27,15 @@ its differences when
 The per-row work runs on Python floats: at the m = 10 rows of the paper's
 protocols one numpy call costs more than the whole loop.
 
-Each kernel is the sweep ``sq_dists`` followed by a per-row reduction.  The
-reductions are public too, so a caller that needs both the value and the
-subgradient at one point (``BallSumProblem.evaluate``) sweeps once.
+The value kernels reduce in the sweep's own row loop: ``ballsum_sweep``
+sums the ball-sum value and ``minmax_value`` keeps the maximum and its
+first index as the distances come.  A guard row or a NaN or infinite
+distance sends such a call back through ``sq_dists`` (the sweep with its
+recompute) followed by the per-row reduction, whose floats, tie rule and
+NaN results the loop reproduces everywhere else.  ``ballsum_sweep`` also
+returns the squared distances, so a caller that needs both the value and
+the subgradient at one point (``BallSumProblem.evaluate``) sweeps once and
+hands them to ``ballsum_subgrad_from``.
 """
 
 import math
@@ -45,6 +51,19 @@ def row_sqnorms(centers):
     return np.einsum("ij,ij->i", centers, centers)
 
 
+def _products(centers, x, sqnorms):
+    """||x||^2 and the lists of ||a_k||^2 and <a_k, x>: a sweep's numpy work.
+
+    Checks the lengths once, so the row loops can zip the two lists without
+    ``strict=True``, whose keyword costs about as much as three rows.
+    """
+    if sqnorms is None:
+        sqnorms = row_sqnorms(centers)
+    elif len(sqnorms) != len(centers):
+        raise ValueError("sqnorms must have one entry per row of centers")
+    return float(x.dot(x)), sqnorms.tolist(), centers.dot(x).tolist()
+
+
 def sq_dists(centers, x, sqnorms, kink_sq):
     """Squared distances from ``x`` to the rows, as a list of floats, and
     the indices of the rows recomputed from their differences.
@@ -52,13 +71,14 @@ def sq_dists(centers, x, sqnorms, kink_sq):
     Those are the rows within the guard margins of zero or of ``kink_sq``;
     pass ``math.inf`` when the objective has no kink.
     """
-    if sqnorms is None:
-        sqnorms = row_sqnorms(centers)
-    xx = float(x.dot(x))
+    return _sq_dists(centers, x, *_products(centers, x, sqnorms), kink_sq)
+
+
+def _sq_dists(centers, x, xx, a2s, axs, kink_sq):
+    """``sq_dists`` from the products ``_products`` returned."""
     sq = []
     redo = []
-    rows = zip(sqnorms.tolist(), centers.dot(x).tolist(), strict=True)
-    for k, (a2, ax) in enumerate(rows):
+    for k, (a2, ax) in enumerate(zip(a2s, axs)):
         scale = a2 + xx
         d2 = scale - 2.0 * ax
         if d2 <= NEAR_GUARD * scale or abs(d2 - kink_sq) <= KINK_GUARD * scale:
@@ -110,9 +130,41 @@ def ballsum_subgrad_from(centers, x, radius, sq, redo):
     return g
 
 
+def ballsum_sweep(centers, x, radius, sqnorms=None):
+    """(ballsum value, sq, redo) at ``x``: the value of ``ballsum_value``
+    with the squared distances and recomputed rows of ``sq_dists``, which
+    ``ballsum_subgrad_from`` takes.
+
+    The value is summed in the sweep's row loop, in the row order of
+    ``ballsum_value_from``, so it is the same float.  A guard row sends the
+    call back through the recompute and that reduction before any distance
+    of it reaches ``math.sqrt`` (next to a center the expanded d^2 can be
+    negative), and so does a NaN or infinite distance.
+    """
+    xx, a2s, axs = _products(centers, x, sqnorms)
+    kink_sq = radius * radius
+    total = 0.0
+    sq = []
+    for a2, ax in zip(a2s, axs):
+        scale = a2 + xx
+        d2 = scale - 2.0 * ax
+        # "not >" also catches a NaN d2
+        if not d2 > NEAR_GUARD * scale or abs(d2 - kink_sq) <= KINK_GUARD * scale:
+            break
+        sq.append(d2)
+        d = math.sqrt(d2)
+        if not d <= radius:
+            total += d - radius
+    else:
+        if math.isfinite(total):
+            return total, sq, []
+    sq, redo = _sq_dists(centers, x, xx, a2s, axs, kink_sq)
+    return ballsum_value_from(sq, radius), sq, redo
+
+
 def ballsum_value(centers, x, radius, sqnorms=None):
     """sum_k max(||x - a_k|| - radius, 0)."""
-    return ballsum_value_from(sq_dists(centers, x, sqnorms, radius * radius)[0], radius)
+    return ballsum_sweep(centers, x, radius, sqnorms)[0]
 
 
 def ballsum_subgrad(centers, x, radius, sqnorms=None):
@@ -122,7 +174,29 @@ def ballsum_subgrad(centers, x, radius, sqnorms=None):
 
 
 def minmax_value(centers, x, sqnorms=None):
-    """(max_k ||x - a_k||, k), the lowest k attaining the computed maximum."""
-    sq = sq_dists(centers, x, sqnorms, math.inf)[0]
+    """(max_k ||x - a_k||, k), the lowest k attaining the computed maximum.
+
+    The maximum and its first index are kept in the sweep's row loop; a
+    guard row or a NaN or infinite distance sends the call back through
+    ``sq_dists``'s recompute, ``max`` and ``list.index``, whose floats, tie
+    rule and NaN results the loop reproduces on every other point.
+    """
+    xx, a2s, axs = _products(centers, x, sqnorms)
+    best = -math.inf
+    j = 0
+    for k, (a2, ax) in enumerate(zip(a2s, axs)):
+        scale = a2 + xx
+        d2 = scale - 2.0 * ax
+        # a guard row or a NaN d2; with no kink (kink_sq = inf) the kink
+        # margin of sq_dists marks only rows of infinite scale, caught here too
+        if not d2 > NEAR_GUARD * scale:
+            break
+        if d2 > best:
+            best = d2
+            j = k
+    else:
+        if math.isfinite(best):  # an infinite d2, or no rows at all
+            return math.sqrt(best), j
+    sq = _sq_dists(centers, x, xx, a2s, axs, math.inf)[0]
     best = max(sq)
     return math.sqrt(best), sq.index(best)

@@ -218,8 +218,8 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     def attempt(L, delta, Delta):
         # reads x, g_vec, gn, f_x and k of the current iteration
         h = pl_step_size(L, Delta, gn)
-        x_next = h * g_vec
-        np.subtract(x, x_next, out=x_next)  # x - h*g in the buffer of h*g
+        x_next = g_vec * -h
+        x_next += x  # x - h*g bitwise, as in convex.model_step
         d = x_next - x
         sq = float(d.dot(d))
         if not math.isfinite(sq):

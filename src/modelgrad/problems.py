@@ -125,11 +125,9 @@ class BallSumProblem:
 
     def _evaluate(self, x: Vector) -> Evaluation:
         r = self.ball_radius
-        sq, redo = kernels.sq_dists(self.centers, x, self.sqnorms, r * r)
+        value, sq, redo = kernels.ballsum_sweep(self.centers, x, r, self.sqnorms)
         return Evaluation(
-            kernels.ballsum_value_from(sq, r),
-            0.0,
-            lambda: kernels.ballsum_subgrad_from(self.centers, x, r, sq, redo),
+            value, 0.0, lambda: kernels.ballsum_subgrad_from(self.centers, x, r, sq, redo)
         )
 
     def value(self, x: Vector) -> float:
@@ -337,7 +335,8 @@ class NoisyOracle(ModelOracle):
         ev = self.inner.evaluate(x)
         f = ev.value
         if self.delta != 0.0:
-            f -= self.delta * float(self._rng.uniform())
+            # random() is uniform() on [0, 1): the same draw, less dispatch
+            f -= self.delta * self._rng.random()
         if self.Delta == 0.0:
             return Evaluation(f, ev.h, ev.gradient)
         return Evaluation(f, ev.h, lambda: self._perturb(ev.gradient(), len(x)))
@@ -361,7 +360,7 @@ class NoisyOracle(ModelOracle):
         if self.mode == "adversarial-fixed-direction":
             scale = self.Delta
         else:
-            scale = self.Delta * float(self._rng.uniform())
+            scale = self.Delta * self._rng.random()
         g_noisy = g + scale * u
         err = norm(g_noisy - g)
         if not err <= self.Delta * (1.0 + 1e-12):
@@ -431,7 +430,11 @@ class CompositeOracle(ModelOracle):
     def evaluate(self, x: Vector) -> Evaluation:
         smooth = self._evaluate_smooth(x)
         h = float(self.penalty.value(x))
-        return Evaluation(float(smooth.value) + h, h, lambda: as_vector(smooth.gradient()))
+        return Evaluation(
+            float(smooth.value) + h,
+            h,
+            lambda: np.asarray(smooth.gradient(), dtype=np.float64),
+        )
 
     def composite_prox(self, v: Vector, weight: float) -> Vector:
         return self.penalty.prox(v, weight)

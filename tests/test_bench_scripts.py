@@ -16,6 +16,7 @@ def test_bench_kernels_runs_at_a_tiny_size():
          "--sizes", "30x3", "--repeats", "2"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
-    for row in ("ballsum_value", "minmax_value", "model_step projected",
+    for row in ("ballsum_value", "minmax_value", "ballsum sweep", "minmax sweep",
+                "model_step projected", "project inside, off 0",
                 "oracle.evaluate", "problem.evaluate", "_record"):
         assert row in out

@@ -184,6 +184,19 @@ class TestConvexMinimize:
         assert info.value.iteration == 0
         assert len(calls) == 2  # x0, then the first trial point
 
+    def test_nan_composite_gradient_is_named(self):
+        # the composite oracle passes the smooth gradient on unchecked, so
+        # the solver's own check names the fault, as for any other oracle
+        smooth = FunctionOracle(
+            lambda x: 0.5 * float(x @ x), lambda x: np.array([np.nan, 1.0])
+        )
+        oracle = composite_oracle(smooth.evaluate, L1Penalty(0.1))
+        config = ConvexConfig(x0=np.array([1.0, 2.0]), N=5)
+        with pytest.raises(NonFiniteOracleError) as info:
+            convex_minimize(config, oracle, WHOLE)
+        assert info.value.quantity == "gradient"
+        assert info.value.iteration == 0
+
     def test_early_stop_via_certificate(self):
         oracle = quadratic_oracle()
         x0 = np.array([1.0, 0.0])

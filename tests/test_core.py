@@ -123,6 +123,62 @@ class TestProjectBall:
         np.testing.assert_array_equal(project_ball(y, center, radius), y)
 
 
+class TestOriginBall:
+    """A ball at the origin projects without forming x - center: the same
+    arrays as ``project_ball``, by identity where that returns x."""
+
+    @staticmethod
+    def _same(q, x):
+        expected = project_ball(x, q.center, q.radius)
+        out = q.project(x)
+        assert (out is x) == (expected is x)
+        assert out.tobytes() == expected.tobytes()
+        return out
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_inside_boundary_and_outside_match_project_ball(self, zero):
+        rng = np.random.default_rng(5)
+        eps = np.finfo(np.float64).eps
+        for radius in (1.0, 0.3, 7.0):
+            q = FeasibleSet.ball(np.full(9, zero), radius)
+            for _ in range(20):
+                u = rng.standard_normal(9)
+                u /= np.linalg.norm(u)
+                for scale in (0.0, 0.5, 1.0, 1.5, 40.0):
+                    self._same(q, u * (radius * scale))
+                for ulps in range(-8, 9):  # within 4 ulp of the boundary and past it
+                    self._same(q, u * (radius * (1.0 + ulps * eps)))
+
+    def test_signed_zeros_and_nan(self):
+        for center in (np.zeros(4), np.array([-0.0, 0.0, -0.0, -0.0])):
+            q = FeasibleSet.ball(center, 1.0)
+            for x in ([-0.0, 0.0, -0.0, 0.5], [-0.0, 3.0, -0.0, 0.0], [-0.0] * 4):
+                self._same(q, np.array(x))
+            with np.errstate(invalid="ignore"):
+                out = self._same(q, np.array([np.nan, 0.0, 0.0, 0.0]))
+            assert np.isnan(out).all()
+
+    def test_dimension_mismatch_inside_and_outside(self):
+        q = FeasibleSet.ball(np.zeros(2), 1.0)
+        for x in (np.zeros(3), np.full(3, 5.0)):
+            with pytest.raises(DimensionMismatchError):
+                q.project(x)
+
+    def test_caller_writes_do_not_reach_the_center(self):
+        c = np.zeros(3)
+        q = FeasibleSet.ball(c, 1.0)
+        c[:] = 5.0
+        x = np.array([0.5, 0.0, 0.0])
+        assert q.project(x) is x and q.contains(x)
+        assert not q.center.flags.writeable and not q.center.any()
+        c = np.full(3, 2.0)
+        q = FeasibleSet.ball(c, 1.0)
+        c[:] = 0.0
+        assert q.project(x).tobytes() == project_ball(x, np.full(3, 2.0), 1.0).tobytes()
+        with pytest.raises(ValueError):
+            q.center[0] = 0.0
+
+
 class TestBacktrack:
     def test_doubles_all_three_and_clamps_Delta(self):
         tried = []

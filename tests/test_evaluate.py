@@ -157,9 +157,11 @@ def _count(monkeypatch, module, name, counter):
 @pytest.mark.parametrize("solver", ("convex", "nonsmooth", "pl"))
 def test_each_point_is_computed_once(monkeypatch, kind, solver):
     """One distance sweep or residual per trial point plus one at x0, and
-    none for the anchor gradients; one l1 term per point."""
+    none for the anchor gradients; one l1 term per point.  A sweep is any
+    of the kernels' entry points that computes the distances."""
     sweeps, l1 = [0], [0]
-    _count(monkeypatch, kernels, "sq_dists", sweeps)
+    for name in ("sq_dists", "ballsum_sweep", "minmax_value"):
+        _count(monkeypatch, kernels, name, sweeps)
     _count(monkeypatch, problems, "least_squares", sweeps)
     _count(monkeypatch, harness, "least_squares", sweeps)
     _count(monkeypatch, problems.L1Penalty, "value", l1)
@@ -205,6 +207,13 @@ class TestEvaluation:
         assert ev.value == ref.value
         assert ev.h == ref.h
         assert ev.gradient().tobytes() == ref.gradient().tobytes()
+
+    def test_random_is_uniform_on_the_unit_interval(self):
+        # NoisyOracle draws with Generator.random(): the bit stream and the
+        # floats of uniform(), which computes 0.0 + 1.0 * random()
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        assert all(a.random() == b.uniform() for _ in range(100_000))
+        assert a.random() == b.uniform()
 
     def test_noisy_gradient_noise_drawn_on_demand(self):
         make, reference, _ = _problem("quadratic")

@@ -5,6 +5,7 @@ below sit where that expansion is weakest: next to a center, on a ball's
 kink, at ties of the min-max objective, and at extreme scales.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -208,3 +209,109 @@ def test_one_nan_distance_poisons_the_sum():
     centers = np.array([[2.0, 0.0], [0.5, 0.0], [0.0, 3.0], [1.0, 1.0]])
     grad = kernels.ballsum_subgrad_from(centers, np.zeros(2), 1.0, sq + [np.nan], [])
     assert np.isnan(grad).all()
+
+
+# The one-pass sweeps against the two-pass path they replace: the sweep
+# ``sq_dists`` followed by the reduction, bit for bit.
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _check_one_pass(centers, x, radius):
+    """``ballsum_sweep`` and ``minmax_value`` give the floats, rows and
+    index of ``sq_dists`` + ``ballsum_value_from`` / ``max`` + ``index``,
+    with and without row norms."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sqnorms in (None, kernels.row_sqnorms(centers)):
+            sq, redo = kernels.sq_dists(centers, x, sqnorms, radius * radius)
+            value, sq1, redo1 = kernels.ballsum_sweep(centers, x, radius, sqnorms)
+            assert _bits(value) == _bits(kernels.ballsum_value_from(sq, radius))
+            assert [_bits(d) for d in sq1] == [_bits(d) for d in sq]
+            assert redo1 == redo
+            assert _bits(kernels.ballsum_value(centers, x, radius, sqnorms)) == _bits(value)
+            sq = kernels.sq_dists(centers, x, sqnorms, math.inf)[0]
+            best = max(sq)
+            val, j = kernels.minmax_value(centers, x, sqnorms)
+            assert (_bits(val), j) == (_bits(math.sqrt(best)), sq.index(best))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_pass_sweeps_match_two_pass_on_random_points(seed):
+    centers, x = _random_case(60 + seed, m=10, n=12)
+    rng = np.random.default_rng(seed)
+    for radius in (0.5, 1.0, float(rng.uniform(1.0, 4.0))):
+        _check_one_pass(centers, x, radius)
+
+
+@pytest.mark.parametrize("row", [0, 4, 9])
+def test_one_pass_sweeps_near_a_center(row):
+    # Far from the origin the expanded d^2 of a point 1e-8 from a center is
+    # pure rounding, often negative: such a row must be recomputed before
+    # any square root sees it.
+    rng = np.random.default_rng(71 + row)
+    centers = 1e3 + rng.standard_normal((10, 8))
+    negative = 0
+    for _ in range(20):
+        x = centers[row] + 1e-8 * _unit(rng, 8)
+        a2 = float(centers[row].dot(centers[row]))
+        negative += (a2 + float(x.dot(x))) - 2.0 * float(centers[row].dot(x)) < 0
+        for radius in (1e-9, 1.0):
+            _check_one_pass(centers, x, radius)
+    assert negative  # the guard's reason to exist was exercised
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-15, 1e-12, 1e-9])
+def test_one_pass_sweeps_on_a_kink(rel):
+    rng = np.random.default_rng(73)
+    centers = 4.0 + rng.standard_normal((6, 7))
+    for k in range(6):
+        x = centers[k] + (1.0 + rel) * _unit(rng, 7)
+        _check_one_pass(centers, x, 1.0)
+        _check_one_pass(centers, x, float(np.linalg.norm(x - centers[k])))
+
+
+def test_one_pass_minmax_exact_ties():
+    rng = np.random.default_rng(79)
+    a = rng.standard_normal((3, 6))
+    centers = np.vstack([0.5 * a[2], a[0], -a[1], a[1], -a[0]])
+    _check_one_pass(centers, np.zeros(6), 1.0)
+    assert kernels.minmax_value(centers, np.zeros(6))[1] in (1, 2)
+    same = np.vstack([a[0], a[0], a[0]])
+    _check_one_pass(same, a[1], 1.0)
+    assert kernels.minmax_value(same, a[1])[1] == 0
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_one_pass_sweeps_on_non_finite_points(fill, where):
+    centers, x = _random_case(83, m=6, n=9)
+    x = x.copy()
+    if where == "all":
+        x[:] = fill
+    else:
+        x[4] = fill
+    _check_one_pass(centers, x, 1.0)
+
+
+def test_one_pass_sweeps_on_an_overflowing_distance():
+    # ||a||^2 + ||x||^2 is finite but d^2 = that + 2 |<a, x>| overflows
+    centers = np.array([[1.0, 2.0], [-9e153, 0.0], [3.0, -1.0], [-9e153, 1.0]])
+    x = np.array([9e153, 0.0])
+    _check_one_pass(centers, x, 1.0)
+    assert kernels.minmax_value(centers, x) == (math.inf, 1)
+
+
+def test_row_norms_of_the_wrong_length_are_refused():
+    centers, x = _random_case(89, m=5, n=4)
+    for sqnorms in (kernels.row_sqnorms(centers)[:4], np.ones(6)):
+        for call in (
+            lambda: kernels.sq_dists(centers, x, sqnorms, 1.0),
+            lambda: kernels.ballsum_sweep(centers, x, 1.0, sqnorms),
+            lambda: kernels.ballsum_value(centers, x, 1.0, sqnorms),
+            lambda: kernels.ballsum_subgrad(centers, x, 1.0, sqnorms),
+            lambda: kernels.minmax_value(centers, x, sqnorms),
+        ):
+            with pytest.raises(ValueError):
+                call()

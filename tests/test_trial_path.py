@@ -15,10 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from modelgrad.convex import ConvexConfig, convex_minimize
+from modelgrad.convex import ConvexConfig, convex_minimize, model_step
 from modelgrad.core import (
     FeasibleSet,
     FunctionOracle,
+    ModelOracle,
     NonFiniteTrialPointError,
     ProxSetup,
     project_ball,
@@ -37,6 +38,7 @@ from modelgrad.problems import (
 N_DIM = 20
 TINY_L0 = 1e-310  # g / L overflows, so the first trial point is not finite
 SOLVERS = ("algo1", "nonsmooth", "algo2")
+WHOLE = ProxSetup(FeasibleSet.whole_space())
 
 
 def _quadratic():
@@ -178,6 +180,24 @@ def test_projection_in_place_matches_the_formula_bitwise():
         out = project_ball(x, center, radius)
         assert out.tobytes() == expected.tobytes()
         assert x.tobytes() == before.tobytes()
+
+
+def test_model_step_matches_the_formula_bitwise():
+    # g / -L + x_k is x_k - g / L: the same floats, signed zeros included
+    rng = np.random.default_rng(8)
+    x_k = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -2.0, 1e-300, 3.0])
+    g = np.array([0.0, 0.0, -0.0, -0.0, 3.0, 1e-17, -1e-300, 6.0])
+    before = (x_k.copy(), g.copy())
+    for L in (1.0, 3.0, 0.7, 1e300):
+        out = model_step(ModelOracle(), WHOLE, x_k, L, g)
+        assert out.tobytes() == (x_k - g / L).tobytes()
+    assert (x_k.tobytes(), g.tobytes()) == (before[0].tobytes(), before[1].tobytes())
+    for _ in range(50):
+        x_k, g = rng.standard_normal(9), rng.standard_normal(9)
+        L = float(rng.uniform(0.01, 100.0))
+        assert model_step(ModelOracle(), WHOLE, x_k, L, g).tobytes() == (
+            x_k - g / L
+        ).tobytes()
 
 
 def test_l1_prox_matches_the_formula_bitwise():
