@@ -13,8 +13,7 @@ maintained whenever the divergence radius R is known.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +24,8 @@ from .core import (
     ModelOracle,
     NonTerminationError,
     ProxSetup,
+    Recorder,
+    Trace,
     Vector,
     _acceptance_rhs,
     as_vector,
@@ -86,8 +87,9 @@ class ConvexConfig:
 
 @dataclass(slots=True)
 class ConvexState:
-    """Mutable per-run state, advanced one accepted step at a time by
-    ``convex_iterate`` or the restarted method and booked by ``_record``."""
+    """Mutable per-run state: the current point and the accumulators of
+    the averaged output, advanced by ``_record`` one accepted step (from
+    ``convex_iterate`` or the restarted method) at a time."""
 
     x: Vector
     f_x: float
@@ -99,21 +101,18 @@ class ConvexState:
     noise_sum: float = 0.0  # running sum of (delta_k + Delta_k * step_k) / L_k
     best_f: float = math.inf
     best_x: Vector = None
-    f_values: list = field(default_factory=list)
-    L_hist: list = field(default_factory=list)
-    delta_hist: list = field(default_factory=list)
-    Delta_hist: list = field(default_factory=list)
-    inner_hist: list = field(default_factory=list)
-    step_hist: list = field(default_factory=list)
-    cert_hist: list = field(default_factory=list)
-    elapsed_hist: list = field(default_factory=list)
-    iterates: Optional[list] = None
     anchor: Optional[Evaluation] = None  # the oracle's evaluation at x
 
 
-@dataclass
-class ConvexTrace:
-    """Immutable record of one run.
+# the trace's per-step arrays, in the order ``_run`` passes them to ``Recorder.add``
+_COLUMNS = (
+    "f_values", "L_hist", "delta_hist", "Delta_hist", "inner_hist", "step_norms", "cert_hist"
+)
+
+
+@dataclass(kw_only=True)
+class ConvexTrace(Trace):
+    """Record of one run of algo1 or of the restarted method.
 
     ``cert_hist[k]`` is the online certificate after step k, (R^2 + sum of
     (delta_i + Delta_i * step_i) / L_i) / S plus the oracle's known value
@@ -124,32 +123,13 @@ class ConvexTrace:
     ``certificate_bound`` adds it, given x*.
     """
 
-    x0: Vector
-    f0: float
-    f_values: np.ndarray
-    L_hist: np.ndarray
-    delta_hist: np.ndarray
-    Delta_hist: np.ndarray
-    inner_hist: np.ndarray
     step_norms: np.ndarray
     cert_hist: np.ndarray
-    elapsed_ms: np.ndarray
     S_N: float
     x_hat: Vector
-    x_final: Vector
     total_inner_calls: int
-    best_f: float
     best_x: Vector
     stopped_early: bool
-    iterates: Optional[list] = None
-
-    @property
-    def N_run(self) -> int:
-        return len(self.f_values)
-
-    def f_best_running(self) -> np.ndarray:
-        """Best objective value seen up to each iteration (including f0)."""
-        return np.minimum.accumulate(np.minimum(self.f_values, self.f0))
 
 
 def model_step(
@@ -224,14 +204,16 @@ def convex_iterate(
     oracle: ModelOracle,
     setup: ProxSetup,
     cap: int,
-) -> ConvexState:
-    """Advance the run by one accepted step.
+) -> tuple:
+    """Find the next accepted step from ``state``.
 
     Halves the triple once, then alternates subproblem solves with
     acceptance tests through ``backtrack``, doubling the triple after each
-    rejection.  The anchor's gradient comes from ``state.anchor`` (the
-    accepted trial's evaluation), which is queried at ``state.x`` when
-    missing.  Raises ``NonTerminationError`` when ``cap`` trials pass
+    rejection.  Returns the accepted step (x_next, its evaluation, L,
+    delta, Delta, step length, trials) and leaves ``state`` as it was.
+    The anchor's gradient comes from ``state.anchor`` (the accepted
+    trial's evaluation), which is queried at ``state.x`` when missing.
+    Raises ``NonTerminationError`` when ``cap`` trials pass
     without acceptance and ``NonFiniteOracleError`` at the first NaN or
     infinite value or gradient.
     """
@@ -250,13 +232,12 @@ def convex_iterate(
         cap,
         k,
     )
-    _record(state, x_next, trial, L, delta, Delta, step, inner)
-    return state
+    return x_next, trial, L, delta, Delta, step, inner
 
 
 def _record(state, x_next, trial, L, delta, Delta, step, inner):
-    """Book the step to ``x_next`` (evaluated as ``trial``), accepted at
-    (L, delta, Delta) after ``inner`` trials, into ``state``."""
+    """Advance ``state`` by the step to ``x_next`` (evaluated as ``trial``),
+    accepted at (L, delta, Delta) after ``inner`` trials."""
     f_next = trial.value
     w = 1.0 / L
     state.S += w
@@ -264,14 +245,6 @@ def _record(state, x_next, trial, L, delta, Delta, step, inner):
     state.noise_sum += (delta + Delta * step) * w
     state.total_inner_calls += inner
     state.k += 1
-    state.f_values.append(f_next)
-    state.L_hist.append(L)
-    state.delta_hist.append(delta)
-    state.Delta_hist.append(Delta)
-    state.inner_hist.append(inner)
-    state.step_hist.append(step)
-    if state.iterates is not None:
-        state.iterates.append(x_next)
     if f_next < state.best_f:
         state.best_f = f_next
         state.best_x = x_next
@@ -285,7 +258,7 @@ def _init_state(config: ConvexConfig, oracle: ModelOracle) -> ConvexState:
     x0 = config.x0
     anchor = oracle.evaluate(x0)
     f0 = anchor.value
-    state = ConvexState(
+    return ConvexState(
         x=x0,
         f_x=f0,
         triple=(config.L0, config.delta0, config.Delta0),
@@ -293,23 +266,16 @@ def _init_state(config: ConvexConfig, oracle: ModelOracle) -> ConvexState:
         weighted_sum=np.zeros_like(x0),
         best_f=f0,
         best_x=x0,
-        iterates=[x0] if config.store_iterates else None,
     )
-    return state
 
 
-def _finalize(state: ConvexState, f0: float, x0: Vector, stopped_early: bool) -> ConvexTrace:
+def _finalize(
+    state: ConvexState, f0: float, x0: Vector, rec: Recorder, stopped_early: bool
+) -> ConvexTrace:
     return ConvexTrace(
+        **rec.columns(_COLUMNS),
         x0=x0,
         f0=f0,
-        f_values=np.asarray(state.f_values),
-        L_hist=np.asarray(state.L_hist),
-        delta_hist=np.asarray(state.delta_hist),
-        Delta_hist=np.asarray(state.Delta_hist),
-        inner_hist=np.asarray(state.inner_hist, dtype=np.int64),
-        step_norms=np.asarray(state.step_hist),
-        cert_hist=np.asarray(state.cert_hist),
-        elapsed_ms=np.asarray(state.elapsed_hist),
         S_N=state.S,
         x_hat=state.weighted_sum / state.S if state.k else x0,
         x_final=state.x,
@@ -317,7 +283,7 @@ def _finalize(state: ConvexState, f0: float, x0: Vector, stopped_early: bool) ->
         best_f=state.best_f,
         best_x=state.best_x,
         stopped_early=stopped_early,
-        iterates=state.iterates,
+        iterates=rec.iterates,
     )
 
 
@@ -335,8 +301,8 @@ def convex_minimize(
 
 
 def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -> ConvexTrace:
-    """Drive ``advance(state)``, which takes one accepted step, for up to
-    N steps; after each, record the certificate and the elapsed time and
+    """Take up to N steps, each the one ``advance(state)`` returns; book
+    each into the state and, with its certificate, into the recorder, and
     check the early stop.  A ``NonTerminationError`` leaves with the steps
     accepted before it as ``partial_trace``.  Shared by algo1 and the
     restarted method."""
@@ -356,23 +322,23 @@ def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -
     R_sq = None if config.R is None else config.R**2
     gap = report_delta or 0.0
     stopped_early = False
-    t_start = time.perf_counter()
+    rec = Recorder(x0, config.store_iterates)
     for _ in range(config.N):
         try:
-            advance(state)
+            x_next, trial, L, delta, Delta, step, trials = advance(state)
         except NonTerminationError as err:
-            err.partial_trace = _finalize(state, f0, x0, False)
+            err.partial_trace = _finalize(state, f0, x0, rec, False)
             raise
+        _record(state, x_next, trial, L, delta, Delta, step, trials)
         if R_sq is not None:
             cert = (R_sq + state.noise_sum) / state.S + gap
         else:
             cert = math.nan
-        state.cert_hist.append(cert)
-        state.elapsed_hist.append((time.perf_counter() - t_start) * 1e3)
+        rec.add(x_next, trial.value, L, delta, Delta, trials, step, cert)
         if early and cert <= config.epsilon:
             stopped_early = True
             break
-    return _finalize(state, f0, x0, stopped_early)
+    return _finalize(state, f0, x0, rec, stopped_early)
 
 
 def certificate_bound(

@@ -13,6 +13,7 @@ carry the accepted trial's ``Evaluation`` to the next iteration's anchor.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -311,6 +312,68 @@ def backtrack(attempt, L, delta, Delta, Delta_max, cap, k):
         triple,
         cap,
     )
+
+
+class Recorder:
+    """The rows of one run, one per accepted step.
+
+    ``add(x, *values)`` books the step to ``x``: one row tuple of its
+    values, stamped last with the milliseconds since the recorder was made,
+    and ``x`` itself in ``iterates`` (x0 first) when iterates are stored.
+    Make it after the start point's evaluation: the stamps time the steps.
+    """
+
+    __slots__ = ("rows", "iterates", "_t0")
+
+    def __init__(self, x0: Vector, store_iterates: bool):
+        self.rows = []
+        self.iterates = [x0] if store_iterates else None
+        self._t0 = time.perf_counter()
+
+    def add(self, x: Vector, *values) -> None:
+        self.rows.append((*values, (time.perf_counter() - self._t0) * 1e3))
+        if self.iterates is not None:
+            self.iterates.append(x)
+
+    def columns(self, names) -> dict:
+        """One array per name, the values ``add`` took in that order, plus
+        ``elapsed_ms``: ``inner_hist`` as int64, the others as float64."""
+        names = (*names, "elapsed_ms")
+        cols = zip(*self.rows) if self.rows else [()] * len(names)
+        return {
+            name: np.array(col, dtype=np.int64 if name == "inner_hist" else np.float64)
+            for name, col in zip(names, cols)
+        }
+
+
+@dataclass(kw_only=True)
+class Trace:
+    """Record of one run; every per-step array covers the accepted steps.
+
+    The fields the three solvers share.  Each subclass also provides
+    ``step_norms`` and ``cert_hist``, the step length and the online
+    certificate of each step (NaN where the solver has none).
+    """
+
+    x0: Vector
+    f0: float
+    f_values: np.ndarray
+    L_hist: np.ndarray
+    delta_hist: np.ndarray
+    Delta_hist: np.ndarray
+    inner_hist: np.ndarray
+    elapsed_ms: np.ndarray
+    x_final: Vector
+    best_f: float
+    iterates: Optional[list] = None
+
+    @property
+    def N_run(self) -> int:
+        return len(self.f_values)
+
+    def f_best_running(self) -> np.ndarray:
+        """Best objective value seen up to each iteration (including f0)."""
+        return np.minimum.accumulate(np.minimum(self.f_values, self.f0))
 
 
 class Evaluation:

@@ -21,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ModelOracle, ProxSetup, Vector, as_vector
-from .convex import ConvexConfig, ConvexTrace, convex_minimize
+from .core import FeasibleSet, ModelOracle, ProxSetup, Trace, Vector, as_vector
+from .convex import ConvexConfig, convex_minimize
 from .nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from .pl import PLConfig, PLTrace, _factors, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
+from .pl import PLConfig, _factors, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
 from .problems import (
     L1Penalty,
     NoisyOracle,
@@ -269,48 +269,6 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _trace_rows(trace) -> list:
-    rows = []
-    if isinstance(trace, ConvexTrace):
-        f_best = trace.f_best_running()
-        for i in range(trace.N_run):
-            rows.append(
-                (
-                    i + 1,
-                    trace.f_values[i],
-                    f_best[i],
-                    trace.L_hist[i],
-                    trace.delta_hist[i],
-                    trace.Delta_hist[i],
-                    int(trace.inner_hist[i]),
-                    trace.step_norms[i],
-                    trace.cert_hist[i],
-                    trace.elapsed_ms[i],
-                )
-            )
-    elif isinstance(trace, PLTrace):
-        best = math.inf
-        for i in range(trace.N_run):
-            best = min(best, trace.f_values[i], trace.f0)
-            rows.append(
-                (
-                    i + 1,
-                    trace.f_values[i],
-                    best,
-                    trace.L_hist[i],
-                    trace.delta_hist[i],
-                    trace.Delta_hist[i],
-                    int(trace.inner_hist[i]),
-                    trace.h_steps[i] * trace.g_norms[i],
-                    math.nan,
-                    trace.elapsed_ms[i],
-                )
-            )
-    else:
-        raise TypeError(f"cannot serialize {type(trace).__name__} as a trace")
-    return rows
-
-
 def write_csv(obj, path) -> None:
     """Serialize a trace or a ResultTable; full float precision, atomic."""
     if isinstance(obj, ResultTable):
@@ -320,14 +278,17 @@ def write_csv(obj, path) -> None:
                 f"{int(n_iters)},{_fmt(obj.mean_estimate[i])},"
                 f"{_fmt(obj.std_estimate[i])},{_fmt(obj.mean_time_ms[i])}"
             )
-    else:
+    elif isinstance(obj, Trace):
         lines = [TRACE_COLUMNS]
-        for row in _trace_rows(obj):
-            it, fv, fb, lk, dk, Dk, ic, sn, cb, ms = row
+        cols = (obj.f_values, obj.f_best_running(), obj.L_hist, obj.delta_hist, obj.Delta_hist,
+                obj.inner_hist, obj.step_norms, obj.cert_hist, obj.elapsed_ms)
+        for it, (fv, fb, lk, dk, Dk, ic, sn, cb, ms) in enumerate(zip(*cols), 1):
             lines.append(
                 f"{it},{_fmt(fv)},{_fmt(fb)},{_fmt(lk)},{_fmt(dk)},{_fmt(Dk)},"
-                f"{ic},{_fmt(sn)},{_fmt(cb)},{_fmt(ms)}"
+                f"{int(ic)},{_fmt(sn)},{_fmt(cb)},{_fmt(ms)}"
             )
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} as a trace")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -481,7 +442,7 @@ def _estimates_at(trace, spec: ExperimentSpec, extra: float) -> dict:
         gap0 = float(trace.f0 - extra)
         return {"estimate": [gap0] * len(grid), "aux_gap": [gap0] * len(grid),
                 "time_ms": [0.0] * len(grid)}
-    best = np.minimum.accumulate(np.minimum(trace.f_values, trace.f0)) - extra
+    best = trace.f_best_running() - extra
     if spec.task in ("task1", "task2"):
         estimate, aux = trace.cert_hist, best
     else:

@@ -35,7 +35,6 @@ from .core import (
 from .convex import (
     ConvexConfig,
     _acceptance_attempt,
-    _record,
     _run,
     _trial,
 )
@@ -218,6 +217,6 @@ def nonsmooth_minimize(
         )
         records.append(RestartRecord(k, p_used, reason, L))  # keywords would double its cost
         Delta_eff = config.Delta_known if reason == STOP_DELTA_TERM else 0.0
-        _record(state, x_next, trial, L, 0.0, Delta_eff, step, trials)
+        return x_next, trial, L, 0.0, Delta_eff, step, trials
 
     return _run(config.base, oracle, setup, restart), records

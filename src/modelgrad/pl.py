@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +25,8 @@ from .core import (
     InconsistentTraceError,
     ModelOracle,
     NonTerminationError,
+    Recorder,
+    Trace,
     Vector,
     _acceptance_rhs,
     as_vector,
@@ -114,31 +115,31 @@ class PLConfig:
             raise ValueError("max_inner_per_iter must be at least 1")
 
 
-@dataclass
-class PLTrace:
-    """Record of one run; all per-iteration arrays cover accepted steps."""
+# the trace's per-step arrays, in the order ``pl_minimize`` passes them to ``Recorder.add``
+_COLUMNS = ("f_values", "g_norms", "h_steps", "L_hist", "Delta_hist", "delta_hist", "inner_hist")
 
-    x0: Vector
-    f0: float
-    f_values: np.ndarray
+
+@dataclass(kw_only=True)
+class PLTrace(Trace):
+    """Record of one run of algo2: ``g_norms[k]`` is the observed gradient
+    norm at step k and ``h_steps[k]`` the step size along the gradient."""
+
     g_norms: np.ndarray
     h_steps: np.ndarray
-    L_hist: np.ndarray
-    Delta_hist: np.ndarray
-    delta_hist: np.ndarray
-    inner_hist: np.ndarray
-    elapsed_ms: np.ndarray
     termination: str
     final_g_norm: float
     clamp: Optional[float]
-    x_final: Vector
     f_final: float
-    best_f: float
-    iterates: Optional[list] = None
 
     @property
-    def N_run(self) -> int:
-        return len(self.f_values)
+    def step_norms(self) -> np.ndarray:
+        """The step lengths h * ||g~||."""
+        return self.h_steps * self.g_norms
+
+    @property
+    def cert_hist(self) -> np.ndarray:
+        """NaN at every step: algo2 keeps no online certificate."""
+        return np.full(self.N_run, math.nan)
 
 
 @dataclass(frozen=True)
@@ -183,36 +184,25 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     f0 = f_x
     best_f = f_x
 
-    f_values, g_norms, h_steps = [], [], []
-    L_hist, Delta_hist, delta_hist, inner_hist, elapsed_hist = [], [], [], [], []
-    iterates = [x] if config.store_iterates else None
-
     L_cur = config.L0
     Delta_cap = math.inf if config.Delta_cap is None else config.Delta_cap
     Dl_cur = min(config.Delta0, Delta_cap)
     dl_cur = config.delta0
     Delta_max = Delta_cap if config.adapt_Delta else Dl_cur  # a frozen estimate never grows
-    t_start = time.perf_counter()
+    rec = Recorder(x, config.store_iterates)
 
     def _partial(term, gn_last):
         return PLTrace(
+            **rec.columns(_COLUMNS),
             x0=config.x0,
             f0=f0,
-            f_values=np.asarray(f_values),
-            g_norms=np.asarray(g_norms),
-            h_steps=np.asarray(h_steps),
-            L_hist=np.asarray(L_hist),
-            Delta_hist=np.asarray(Delta_hist),
-            delta_hist=np.asarray(delta_hist),
-            inner_hist=np.asarray(inner_hist, dtype=np.int64),
-            elapsed_ms=np.asarray(elapsed_hist),
             termination=term,
             final_g_norm=gn_last,
             clamp=config.Delta_cap,
             x_final=x,
             f_final=f_x,
             best_f=best_f,
-            iterates=iterates,
+            iterates=rec.iterates,
         )
 
     def attempt(L, delta, Delta):
@@ -256,17 +246,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             return _partial(TERM_FLOOR, gn)
         x_next, trial, h = result
         f_next = trial.value
-
-        f_values.append(f_next)
-        g_norms.append(gn)
-        h_steps.append(h)
-        L_hist.append(L_cur)
-        Delta_hist.append(Dl_cur)
-        delta_hist.append(dl_cur)
-        inner_hist.append(inner)
-        elapsed_hist.append((time.perf_counter() - t_start) * 1e3)
-        if iterates is not None:
-            iterates.append(x_next)
+        rec.add(x_next, f_next, gn, h, L_cur, Dl_cur, dl_cur, inner)
         if f_next < best_f:
             best_f = f_next
         x, f_x, ev = x_next, f_next, trial

@@ -301,8 +301,9 @@ class NoisyOracle(ModelOracle):
     the value noise when it is called and the gradient noise when the
     evaluation's gradient is first asked for.  The gradient error degrades
     the lower model by an extra Delta per unit distance, so gamma
-    accumulates accordingly.  The adversarial mode's ``direction`` is
-    scaled to unit norm (drawn at random when omitted).
+    accumulates accordingly; so does the value gap, ``known_delta``, which
+    is unknown (None) when the wrapped oracle's is.  The adversarial mode's
+    ``direction`` is scaled to unit norm (drawn at random when omitted).
     """
 
     MODES = ("random-sphere", "adversarial-fixed-direction")
@@ -327,7 +328,8 @@ class NoisyOracle(ModelOracle):
         self._rng = np.random.default_rng(seed)
         self._direction = None if direction is None else _unit(direction)
         self.gamma = inner.gamma + self.Delta
-        self.known_delta = self.delta
+        inner_gap = 0.0 if inner.exact_values else inner.known_delta
+        self.known_delta = None if inner_gap is None else inner_gap + self.delta
         self.exact_values = self.delta == 0.0 and inner.exact_values
         self.has_composite = inner.has_composite
 

@@ -230,6 +230,46 @@ class TestBacktrack:
         assert info.value.triple == next_triple
         assert info.value.partial_trace.N_run == info.value.iteration
         assert info.value.partial_trace.f0 == 1.0
+        _assert_one_row_per_step(info.value.partial_trace)
+
+    # f(x) = ||x||^2/2 reads 10 where x[0] < 0.5: the first step from (1, 0)
+    # lands on (0.5, 0) at L = 2, every later trial falls short of it
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda oracle, base: convex_minimize(
+                base, oracle, ProxSetup(FeasibleSet.whole_space())),
+            lambda oracle, base: nonsmooth_minimize(
+                NonsmoothConfig(base=base, epsilon=0.1),
+                oracle, ProxSetup(FeasibleSet.whole_space()))[0],
+            lambda oracle, base: pl_minimize(
+                PLConfig(x0=base.x0, L0=base.L0, N=base.N,
+                         max_inner_per_iter=base.max_inner_per_iter), oracle),
+        ],
+        ids=["algo1", "nonsmooth", "algo2"],
+    )
+    def test_each_solver_partial_trace_keeps_its_accepted_steps(self, solve):
+        oracle = FunctionOracle(
+            lambda x: 0.5 * float(x @ x) if x[0] >= 0.5 else 10.0, lambda x: x.copy()
+        )
+        base = ConvexConfig(x0=np.array([1.0, 0.0]), L0=4.0, N=5, max_inner_per_iter=10)
+        with pytest.raises(NonTerminationError) as info:
+            solve(oracle, base)
+        partial = info.value.partial_trace
+        assert info.value.iteration == partial.N_run == 1
+        assert (partial.f_values[0], partial.L_hist[0], partial.step_norms[0]) == (0.125, 2.0, 0.5)
+        np.testing.assert_array_equal(partial.x_final, [0.5, 0.0])
+        np.testing.assert_array_equal(partial.iterates[1], [0.5, 0.0])
+        _assert_one_row_per_step(partial)
+
+
+def _assert_one_row_per_step(trace):
+    """Every per-step column has N_run entries; the iterates add x0."""
+    for name in ("f_values", "L_hist", "delta_hist", "Delta_hist", "inner_hist",
+                 "step_norms", "cert_hist", "elapsed_ms"):
+        assert len(getattr(trace, name)) == trace.N_run, name
+    assert len(trace.f_best_running()) == trace.N_run
+    assert len(trace.iterates) == trace.N_run + 1
 
 
 class TestModelOracle:

@@ -185,8 +185,13 @@ class TestConfigFiles:
 
 
 class TestCSV:
-    def test_trace_roundtrip_full_precision(self, tmp_path):
-        spec = ExperimentSpec(task="task1", n=8, m=3, iteration_grid=(15,))
+    @pytest.mark.parametrize(
+        "spec",
+        [ExperimentSpec(task="task1", n=8, m=3, iteration_grid=(15,)),
+         ExperimentSpec(task="pl-quadratic", n=4, m=6, iteration_grid=(20,))],
+        ids=["task1", "pl-quadratic"],
+    )
+    def test_trace_roundtrip_full_precision(self, spec, tmp_path):
         trace, _ = run_single(spec)
         path = tmp_path / "trace.csv"
         write_csv(trace, path)
@@ -195,19 +200,12 @@ class TestCSV:
         assert lines[0] == TRACE_COLUMNS
         assert len(lines) == 1 + trace.N_run
         data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        np.testing.assert_array_equal(data[:, 1], trace.f_values)
-        np.testing.assert_array_equal(data[:, 3], trace.L_hist)
-        np.testing.assert_array_equal(data[:, 7], trace.step_norms)
-        np.testing.assert_array_equal(data[:, 8], trace.cert_hist)
-
-    def test_pl_trace_serializes(self, tmp_path):
-        spec = ExperimentSpec(task="pl-quadratic", n=4, m=6, iteration_grid=(20,))
-        trace, _ = run_single(spec)
-        path = tmp_path / "pl.csv"
-        write_csv(trace, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == TRACE_COLUMNS
-        assert len(lines) == 1 + trace.N_run
+        np.testing.assert_array_equal(data[:, 0], np.arange(1, trace.N_run + 1))
+        columns = (trace.f_values, trace.f_best_running(), trace.L_hist, trace.delta_hist,
+                   trace.Delta_hist, trace.inner_hist, trace.step_norms, trace.cert_hist,
+                   trace.elapsed_ms)
+        for j, column in enumerate(columns, 1):
+            assert data[:, j].tobytes() == np.asarray(column, dtype=np.float64).tobytes()
 
     def test_table_schema(self, tmp_path):
         spec = ExperimentSpec(

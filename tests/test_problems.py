@@ -173,6 +173,23 @@ class TestNoisyOracle:
         exact = NoisyOracle(prob.oracle(), Delta=0.3, delta=0.0)
         assert exact.exact_values
 
+    def test_nested_wrappers_add_their_value_gaps(self):
+        prob = self._base()
+        nested = NoisyOracle(NoisyOracle(prob.oracle(), delta=0.1, seed=1), delta=0.1, seed=2)
+        assert nested.known_delta == 0.2
+        rng = np.random.default_rng(3)
+        gaps = [prob.value(x) - nested.evaluate(x).value for x in rng.standard_normal((500, 4))]
+        assert max(gaps) <= nested.known_delta
+        assert max(gaps) > 0.1  # the outer gap alone would not bound them
+        assert NoisyOracle(NoisyOracle(prob.oracle(), delta=0.1), Delta=0.2).known_delta == 0.1
+
+    def test_unknown_inner_value_gap_stays_unknown(self):
+        class Unknown(FunctionOracle):
+            exact_values = False  # and known_delta None, as on ModelOracle
+
+        inner = Unknown(lambda x: 0.0, lambda x: np.zeros_like(x))
+        assert NoisyOracle(inner, delta=0.1).known_delta is None
+
     def test_zero_noise_is_bitwise_passthrough(self):
         prob = self._base()
         noisy = NoisyOracle(prob.oracle(), Delta=0.0, delta=0.0)
