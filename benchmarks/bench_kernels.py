@@ -81,7 +81,7 @@ def record_step(state, rec, x, trial):
 def trial_path_cases(centers, x, rng):
     """(layer, call) pairs at one size, on task1's geometry."""
     prob = BallSumProblem(centers)
-    oracle, setup = prob.oracle(), prob.prox_setup()
+    oracle, feasible = prob.oracle(), prob.feasible
     sqnorms = prob.sqnorms
     minmax = MinMaxBallProblem(centers)
     off_origin = FeasibleSet.ball(np.full(len(x), 1e-3), 1.0)
@@ -96,9 +96,9 @@ def trial_path_cases(centers, x, rng):
     return (
         ("ballsum sweep", lambda: ballsum_sweep(centers, x, 1.0, sqnorms)),
         ("minmax sweep", lambda: kernels.minmax_value(centers, x, minmax.sqnorms)),
-        ("model_step inside", lambda: convex.model_step(oracle, setup, x, L_in, g)),
-        ("model_step projected", lambda: convex.model_step(oracle, setup, x, 1.0, g_out)),
-        ("project inside", lambda: setup.feasible.project(x)),
+        ("model_step inside", lambda: convex.model_step(oracle, feasible, x, L_in, g)),
+        ("model_step projected", lambda: convex.model_step(oracle, feasible, x, 1.0, g_out)),
+        ("project inside", lambda: feasible.project(x)),
         ("project inside, off 0", lambda: off_origin.project(x)),
         ("oracle.evaluate", lambda: oracle.evaluate(x)),
         ("problem.evaluate", lambda: prob.evaluate(x)),

@@ -18,6 +18,8 @@ import numpy as np
 
 from .core import FunctionOracle, NonTerminationError
 from .harness import (
+    SOLVERS,
+    TASKS,
     ConfigError,
     ExperimentSpec,
     compare_adaptive_nonadaptive,
@@ -49,13 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--task", choices=("task1", "task2", "pl-quadratic", "composite"))
+        p.add_argument("--task", choices=TASKS)
         p.add_argument("--n", type=int, help="problem dimension")
         p.add_argument("--m", type=int, help="number of centers / rows")
         p.add_argument("--iters", help="iteration grid, e.g. 200,400 or 200..1000")
         p.add_argument("--reps", type=int, help="replications per grid cell")
         p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--solver", choices=("algo1", "nonsmooth", "algo2"))
+        p.add_argument("--solver", choices=SOLVERS)
         p.add_argument("--Delta", type=float, help="gradient noise level")
         p.add_argument("--delta", type=float, help="value noise level")
         p.add_argument("--epsilon", type=float, help="target accuracy")
@@ -204,7 +206,8 @@ def _cmd_check(args) -> int:
     )
     ok &= _report("finite-diff quadratic", worst < 1e-5, f"max rel err {worst:.2e}")
 
-    Delta, delta = (args.Delta or 0.3), (args.delta or 0.05)
+    Delta = 0.3 if args.Delta is None else args.Delta
+    delta = 0.05 if args.delta is None else args.delta
     noisy = NoisyOracle(quad.oracle(), Delta=Delta, delta=delta, seed=seed)
     worst_g, worst_v = 0.0, 0.0
     for _ in range(500):

@@ -21,9 +21,9 @@ import numpy as np
 from .core import (
     CertificateUnavailableError,
     Evaluation,
+    FeasibleSet,
     ModelOracle,
     NonTerminationError,
-    ProxSetup,
     Recorder,
     Trace,
     Vector,
@@ -134,20 +134,20 @@ class ConvexTrace(Trace):
 
 def model_step(
     oracle: ModelOracle,
-    setup: ProxSetup,
+    feasible: FeasibleSet,
     x_k: Vector,
     L: float,
     g: Vector,
 ) -> Vector:
-    """Solve argmin_{y in Q} psi(y, x_k) + L * V(y, x_k).
+    """Solve argmin_{y in Q} psi(y, x_k) + L * V(y, x_k) over Q = ``feasible``.
 
-    ``g`` is the anchor gradient, the oracle's gradient at ``x_k``.  For the
-    euclidean setup and a linear-plus-composite model this is the proximal
-    point of the composite part at x_k - g/L with weight 1/L, projected onto
-    the feasible set; with no composite part it reduces to a projected
-    gradient step.  x_k - g/L is formed as g / -L plus x_k in one fresh
-    array: x + (-y) is x - y bitwise, and g / -L is -(g/L).  So ``g`` must
-    be float64 like ``x_k``, as the shipped oracles' gradients are.
+    ``g`` is the anchor gradient, the oracle's gradient at ``x_k``.  For
+    V(y, x) = ||y - x||^2 / 2 and the linear-plus-composite model this is the
+    proximal point of the composite part at x_k - g/L with weight 1/L,
+    projected onto the feasible set; with no composite part it reduces to a
+    projected gradient step.  x_k - g/L is formed as g / -L plus x_k in one
+    fresh array: x + (-y) is x - y bitwise, and g / -L is -(g/L).  So ``g``
+    must be float64 like ``x_k``, as the shipped oracles' gradients are.
     """
     if not L > 0:
         raise ValueError("L must be positive")
@@ -157,10 +157,10 @@ def model_step(
     v += x_k
     if oracle.has_composite:
         v = oracle.composite_prox(v, 1.0 / L)
-    return setup.feasible.project(v)
+    return feasible.project(v)
 
 
-def _trial(oracle, setup, x_k, anchor, g, L, k):
+def _trial(oracle, feasible, x_k, anchor, g, L, k):
     """Take the model step at ``L`` from the anchor ``x_k`` and evaluate it.
 
     Returns (x_next, its evaluation, psi(x_next, x_k), squared step length,
@@ -171,7 +171,7 @@ def _trial(oracle, setup, x_k, anchor, g, L, k):
     one makes the squared step from the finite anchor non-finite too, and
     raises ``NonFiniteTrialPointError`` before the oracle sees it.
     """
-    x_next = model_step(oracle, setup, x_k, L, g)
+    x_next = model_step(oracle, feasible, x_k, L, g)
     d = x_next - x_k
     sq = float(d.dot(d))
     if not math.isfinite(sq):
@@ -184,13 +184,13 @@ def _trial(oracle, setup, x_k, anchor, g, L, k):
     return x_next, trial, psi, sq, math.sqrt(sq)
 
 
-def _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k):
+def _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k):
     """The trial ``backtrack`` makes for algo1 and restart phase 1: the
     model step at L, kept (as ``_trial``'s tuple) when it passes the
     acceptance inequality at (L, delta, Delta)."""
 
     def attempt(L, delta, Delta):
-        result = _trial(oracle, setup, x_k, anchor, g, L, k)
+        result = _trial(oracle, feasible, x_k, anchor, g, L, k)
         _, trial, psi, sq, step = result
         if trial.value <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta, delta):
             return result
@@ -202,7 +202,7 @@ def _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k):
 def convex_iterate(
     state: ConvexState,
     oracle: ModelOracle,
-    setup: ProxSetup,
+    feasible: FeasibleSet,
     cap: int,
 ) -> tuple:
     """Find the next accepted step from ``state``.
@@ -224,7 +224,7 @@ def convex_iterate(
     g = checked_gradient(anchor.gradient(), k)
     L, delta, Delta = state.triple
     (x_next, trial, _, _, step), L, delta, Delta, inner = backtrack(
-        _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k),
+        _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k),
         0.5 * L,
         0.5 * delta,
         0.5 * Delta,
@@ -288,7 +288,7 @@ def _finalize(
 
 
 def convex_minimize(
-    config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup
+    config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet
 ) -> ConvexTrace:
     """Run the adaptive method for N iterations (or to the certificate stop).
 
@@ -297,16 +297,18 @@ def convex_minimize(
     for exact oracles).
     """
     cap = config.max_inner_per_iter
-    return _run(config, oracle, setup, lambda state: convex_iterate(state, oracle, setup, cap))
+    return _run(
+        config, oracle, feasible, lambda state: convex_iterate(state, oracle, feasible, cap)
+    )
 
 
-def _run(config: ConvexConfig, oracle: ModelOracle, setup: ProxSetup, advance) -> ConvexTrace:
+def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advance) -> ConvexTrace:
     """Take up to N steps, each the one ``advance(state)`` returns; book
     each into the state and, with its certificate, into the recorder, and
     check the early stop.  A ``NonTerminationError`` leaves with the steps
     accepted before it as ``partial_trace``.  Shared by algo1 and the
     restarted method."""
-    if not setup.feasible.contains(config.x0):
+    if not feasible.contains(config.x0):
         raise ValueError("x0 lies outside the feasible set")
     state = _init_state(config, oracle)
     f0 = state.f_x

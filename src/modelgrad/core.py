@@ -1,13 +1,13 @@
 """Core types shared by the adaptive solvers.
 
 Vectors are plain 1-D float64 numpy arrays validated on entry by
-``as_vector``.  The remaining pieces are small immutable values: the
-feasible set and the euclidean prox setup.  ``ModelOracle`` is the
-contract every objective implements: one query, ``evaluate(x)``, which
-returns an ``Evaluation`` (the inexact value, the composite part and the
-gradient on demand), plus the composite prox and the slack metadata that
-certificates read (never the adaptive loops themselves).  The solvers
-carry the accepted trial's ``Evaluation`` to the next iteration's anchor.
+``as_vector``.  The feasible set is a small immutable value that the
+solvers take as it is.  ``ModelOracle`` is the contract every objective
+implements: one query, ``evaluate(x)``, which returns an ``Evaluation``
+(the inexact value, the composite part and the gradient on demand), plus
+the composite prox and the slack metadata that certificates read (never
+the adaptive loops themselves).  The solvers carry the accepted trial's
+``Evaluation`` to the next iteration's anchor.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "NonFiniteOracleError",
     "NonFiniteTrialPointError",
     "FeasibleSet",
-    "ProxSetup",
     "Evaluation",
     "ModelOracle",
     "FunctionOracle",
@@ -54,7 +53,7 @@ class DimensionMismatchError(ValueError):
 
 
 class UnsupportedCombinationError(ValueError):
-    """The configured (setup, model) pair has no implemented subproblem solver."""
+    """The configured model has no implemented subproblem solver."""
 
 
 class CertificateUnavailableError(ValueError):
@@ -235,18 +234,6 @@ class FeasibleSet:
         if len(x) != len(self.center):
             raise DimensionMismatchError("point and center dimensions differ")
         return float(np.linalg.norm(x - self.center)) <= self.radius * (1.0 + tol)
-
-
-@dataclass(frozen=True, eq=False)
-class ProxSetup:
-    """The euclidean distance-generating setup, d(x) = ||x||^2 / 2, over a
-    feasible set: V(y, x) = ||y - x||^2 / 2."""
-
-    feasible: FeasibleSet
-
-    def __post_init__(self):
-        if not isinstance(self.feasible, FeasibleSet):
-            raise TypeError("feasible must be a FeasibleSet")
 
 
 def project_ball(x: Vector, center: Vector, radius: float) -> Vector:

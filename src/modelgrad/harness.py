@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ModelOracle, ProxSetup, Trace, Vector, as_vector
+from .core import FeasibleSet, ModelOracle, Trace, Vector, as_vector
 from .convex import ConvexConfig, convex_minimize
 from .nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from .pl import PLConfig, _factors, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
@@ -54,6 +54,13 @@ __all__ = [
 
 TASKS = ("task1", "task2", "pl-quadratic", "composite")
 SOLVERS = ("algo1", "nonsmooth", "algo2")
+# the solvers each task runs with, its default first
+_TASK_SOLVERS = {
+    "task1": ("nonsmooth", "algo1"),
+    "task2": ("nonsmooth", "algo1"),
+    "pl-quadratic": ("algo2",),
+    "composite": ("algo1",),
+}
 
 TRACE_COLUMNS = "iter,f_value,f_best,L_k,delta_k,Delta_k,inner_calls,step_norm,cert_bound,elapsed_ms"
 TABLE_COLUMNS = "iters,mean_estimate,std_estimate,mean_time_ms"
@@ -83,7 +90,9 @@ class ExperimentSpec:
     restarted nonsmooth solver ``Delta0`` is the fixed kink budget, and
     zero means "use the task's conservative class constant".  ``Delta``
     and ``delta`` are injected oracle noise levels, ``epsilon`` the target
-    accuracy of the restarted procedure (default 0.05 when unset).
+    accuracy of the restarted procedure (default 0.05 when unset).  A
+    solver the task does not run with is refused here, before any data is
+    generated.
     """
 
     task: str
@@ -97,7 +106,6 @@ class ExperimentSpec:
     Delta0: float = 0.0
     delta0: float = 0.0
     epsilon: Optional[float] = None
-    C: float = 3.0
     Delta: float = 0.0
     delta: float = 0.0
     mode: str = "random-sphere"
@@ -107,8 +115,11 @@ class ExperimentSpec:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.solver is None:
             object.__setattr__(self, "solver", default_solver(self.task))
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        allowed = _TASK_SOLVERS[self.task]
+        if self.solver not in allowed:
+            raise ValueError(
+                f"task {self.task!r} supports solvers {allowed}, got {self.solver!r}"
+            )
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive")
         grid = tuple(int(v) for v in self.iteration_grid)
@@ -131,8 +142,6 @@ class ExperimentSpec:
                 )
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("epsilon must be positive when given")
-        if not self.C > 1:
-            raise ValueError("C must exceed 1")
         if self.mode not in NoisyOracle.MODES:
             raise ValueError(f"mode must be one of {NoisyOracle.MODES}")
         if self.solver == "nonsmooth" and (self.Delta > 0 or self.delta > 0):
@@ -158,12 +167,11 @@ class ResultTable:
 
 def default_solver(task: str) -> str:
     """Solver a bare --task selection maps to."""
-    return {"task1": "nonsmooth", "task2": "nonsmooth",
-            "pl-quadratic": "algo2", "composite": "algo1"}[task]
+    return _TASK_SOLVERS[task][0]
 
 
 _INT_FIELDS = {"n", "m", "replications", "seed"}
-_FLOAT_FIELDS = {"L0", "Delta0", "delta0", "C", "Delta", "delta", "epsilon"}
+_FLOAT_FIELDS = {"L0", "Delta0", "delta0", "Delta", "delta", "epsilon"}
 _STR_FIELDS = {"task", "solver", "mode"}
 
 
@@ -334,32 +342,17 @@ def _maybe_noisy(oracle: ModelOracle, spec: ExperimentSpec, noise_seed: int):
     )
 
 
-def _validate_combo(spec: ExperimentSpec) -> None:
-    allowed = {
-        "task1": ("nonsmooth", "algo1"),
-        "task2": ("nonsmooth", "algo1"),
-        "pl-quadratic": ("algo2",),
-        "composite": ("algo1",),
-    }[spec.task]
-    if spec.solver not in allowed:
-        raise ValueError(
-            f"task {spec.task!r} supports solvers {allowed}, got {spec.solver!r}"
-        )
-
-
 def _prepare(spec: ExperimentSpec, rep_seed: int):
-    """Build (problem, oracle, setup) for one replication; problem is None
-    for the composite family (the oracle is the whole problem there)."""
-    if spec.task in ("task1", "task2"):
-        problem = _geometric_problem(spec, rep_seed)
-        oracle = _maybe_noisy(problem.oracle(), spec, rep_seed + 1)
-        return problem, oracle, problem.prox_setup()
-    if spec.task == "pl-quadratic":
-        problem = _quadratic_problem(spec, rep_seed)
-        oracle = _maybe_noisy(problem.oracle(), spec, rep_seed + 1)
-        return problem, oracle, None
-    oracle = _maybe_noisy(_composite_objects(spec, rep_seed), spec, rep_seed + 1)
-    return None, oracle, ProxSetup(FeasibleSet.whole_space())
+    """Build (problem, oracle, feasible set) for one replication; problem is
+    None for the composite family (the oracle is the whole problem there),
+    and the feasible set None for algo2, which takes none."""
+    if spec.task == "composite":
+        oracle = _maybe_noisy(_composite_objects(spec, rep_seed), spec, rep_seed + 1)
+        return None, oracle, FeasibleSet.whole_space()
+    quadratic = spec.task == "pl-quadratic"
+    problem = (_quadratic_problem if quadratic else _geometric_problem)(spec, rep_seed)
+    oracle = _maybe_noisy(problem.oracle(), spec, rep_seed + 1)
+    return problem, oracle, None if quadratic else problem.feasible
 
 
 def _working_levels(spec: ExperimentSpec) -> tuple:
@@ -373,60 +366,48 @@ def _working_levels(spec: ExperimentSpec) -> tuple:
     )
 
 
-def _solve(spec: ExperimentSpec, problem, oracle, setup):
+def _solve(spec: ExperimentSpec, problem, oracle, feasible):
     """Run the configured solver; returns (trace, restart records or None)."""
     N = max(spec.iteration_grid)
     delta0, Delta0 = _working_levels(spec)
-    if spec.task in ("task1", "task2"):
-        base = ConvexConfig(
-            x0=np.zeros(spec.n),
-            L0=spec.L0,
-            delta0=delta0 if spec.solver == "algo1" else 0.0,
-            Delta0=Delta0 if spec.solver == "algo1" else 0.0,
-            N=N,
-            R=math.sqrt(_TASK_R2),
-            store_iterates=False,
-        )
-        if spec.solver == "algo1":
-            return convex_minimize(base, oracle, setup), None
-        cfg = NonsmoothConfig(
-            base=base,
-            epsilon=spec.epsilon if spec.epsilon is not None else 0.05,
-            Delta_known=_nonsmooth_class_Delta(spec),
-        )
-        return nonsmooth_minimize(cfg, oracle, setup)
-    if spec.task == "pl-quadratic":
+    if spec.solver == "algo2":
         cfg = PLConfig(
             x0=np.zeros(spec.n),
             L0=spec.L0,
             Delta0=Delta0,
             delta0=delta0,
             N=N,
-            C=spec.C,
             mu=problem.mu,
             Delta_cap=spec.Delta if spec.Delta > 0 else None,
             store_iterates=False,
         )
         return pl_minimize(cfg, oracle), None
+    algo1 = spec.solver == "algo1"
     base = ConvexConfig(
         x0=np.zeros(spec.n),
         L0=spec.L0,
-        delta0=delta0,
-        Delta0=Delta0,
+        delta0=delta0 if algo1 else 0.0,
+        Delta0=Delta0 if algo1 else 0.0,
         N=N,
+        R=math.sqrt(_TASK_R2) if spec.task in ("task1", "task2") else None,
         store_iterates=False,
     )
-    return convex_minimize(base, oracle, setup), None
+    if algo1:
+        return convex_minimize(base, oracle, feasible), None
+    cfg = NonsmoothConfig(
+        base=base,
+        epsilon=spec.epsilon if spec.epsilon is not None else 0.05,
+        Delta_known=_nonsmooth_class_Delta(spec),
+    )
+    return nonsmooth_minimize(cfg, oracle, feasible)
 
 
 def run_single(spec: ExperimentSpec, rep_seed: Optional[int] = None):
     """One solver run at N = max(grid); returns (trace, restart records or
     None)."""
-    _validate_combo(spec)
     if rep_seed is None:
         rep_seed = _rep_seeds(spec)[0]
-    problem, oracle, setup = _prepare(spec, rep_seed)
-    return _solve(spec, problem, oracle, setup)
+    return _solve(spec, *_prepare(spec, rep_seed))
 
 
 def _estimates_at(trace, spec: ExperimentSpec, extra: float) -> dict:
@@ -455,6 +436,20 @@ def _estimates_at(trace, spec: ExperimentSpec, extra: float) -> dict:
     }
 
 
+def _table(grid, est: np.ndarray, times: np.ndarray, aux: dict) -> ResultTable:
+    """The table of per-seed estimates ``est`` and times ``times``, each of
+    shape (replications, len(grid)): their means and standard deviations
+    over the seeds, per grid value."""
+    return ResultTable(
+        iters=tuple(grid),
+        mean_estimate=tuple(float(v) for v in est.mean(axis=0)),
+        std_estimate=tuple(float(v) for v in est.std(axis=0, ddof=0)),
+        mean_time_ms=tuple(float(v) for v in times.mean(axis=0)),
+        per_seed_estimates=est,
+        aux=aux,
+    )
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Grid runs averaged over replications.
 
@@ -462,7 +457,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     are sliced from the single trace, which matches per-cell reruns
     exactly because the solvers are deterministic given the seed.
     """
-    _validate_combo(spec)
     seeds = _rep_seeds(spec)
     grid = spec.iteration_grid
     est = np.zeros((spec.replications, len(grid)))
@@ -471,8 +465,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     f_hat_final = []
 
     for r, rep_seed in enumerate(seeds):
-        problem, oracle, setup = _prepare(spec, rep_seed)
-        trace, _ = _solve(spec, problem, oracle, setup)
+        problem, oracle, feasible = _prepare(spec, rep_seed)
+        trace, _ = _solve(spec, problem, oracle, feasible)
         if spec.task in ("task1", "task2"):
             lb = 0.0 if spec.task == "task1" else problem.lower_bound()
             cells = _estimates_at(trace, spec, lb)
@@ -487,17 +481,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         gaps[r] = cells["aux_gap"]
         times[r] = cells["time_ms"]
 
-    return ResultTable(
-        iters=tuple(grid),
-        mean_estimate=tuple(float(v) for v in est.mean(axis=0)),
-        std_estimate=tuple(float(v) for v in est.std(axis=0, ddof=0)),
-        mean_time_ms=tuple(float(v) for v in times.mean(axis=0)),
-        per_seed_estimates=est,
-        aux={
-            "per_seed_aux_gap": gaps,
-            "per_seed_f_hat_final": f_hat_final,
-            "seeds": seeds,
-        },
+    return _table(
+        grid,
+        est,
+        times,
+        {"per_seed_aux_gap": gaps, "per_seed_f_hat_final": f_hat_final, "seeds": seeds},
     )
 
 
@@ -529,7 +517,6 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
                 Delta0=spec.Delta,
                 delta0=spec.delta,
                 N=N,
-                C=spec.C,
                 mu=problem.mu,
                 Delta_cap=cap,
                 store_iterates=False,
@@ -553,13 +540,11 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
             est[r, i] = prefix[k] * gap0 if tr_a.N_run else gap0
             times[r, i] = float(tr_a.elapsed_ms[k]) if tr_a.N_run else 0.0
 
-    return ResultTable(
-        iters=tuple(grid),
-        mean_estimate=tuple(float(v) for v in est.mean(axis=0)),
-        std_estimate=tuple(float(v) for v in est.std(axis=0, ddof=0)),
-        mean_time_ms=tuple(float(v) for v in times.mean(axis=0)),
-        per_seed_estimates=est,
-        aux={
+    return _table(
+        grid,
+        est,
+        times,
+        {
             "adaptive_bound": a_bounds,
             "nonadaptive_bound": na_bounds,
             "adaptive_gap": a_gaps,

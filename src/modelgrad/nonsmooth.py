@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import (
     Evaluation,
+    FeasibleSet,
     ModelOracle,
     NonTerminationError,
-    ProxSetup,
     Vector,
     backtrack,
     checked_gradient,
@@ -128,7 +128,7 @@ def complexity_estimate(L: float, R: float, Delta: float, epsilon: float) -> int
 
 def _restart_step(
     oracle: ModelOracle,
-    setup: ProxSetup,
+    feasible: FeasibleSet,
     x_k: Vector,
     anchor: Evaluation,
     L_start: float,
@@ -150,7 +150,7 @@ def _restart_step(
     # Phase 1: plain acceptance at the frozen Delta; identical trial
     # sequence to the convex solver when Delta_fixed = 0.
     (x_next, trial, psi, sq, step), L, _, _, trials = backtrack(
-        _acceptance_attempt(oracle, setup, x_k, anchor, g, f_k, k),
+        _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k),
         L_start,
         0.0,
         Delta_fixed,
@@ -181,11 +181,11 @@ def _restart_step(
             )
         L *= 2.0
         trials += 1
-        x_next, trial, psi, sq, step = _trial(oracle, setup, x_k, anchor, g, L, k)
+        x_next, trial, psi, sq, step = _trial(oracle, feasible, x_k, anchor, g, L, k)
 
 
 def nonsmooth_minimize(
-    config: NonsmoothConfig, oracle: ModelOracle, setup: ProxSetup
+    config: NonsmoothConfig, oracle: ModelOracle, feasible: FeasibleSet
 ):
     """Run the restarted method; returns (ConvexTrace, list of RestartRecord).
 
@@ -204,7 +204,7 @@ def nonsmooth_minimize(
         k = state.k
         x_next, trial, step, L, p_used, reason, trials = _restart_step(
             oracle,
-            setup,
+            feasible,
             state.x,
             state.anchor,
             0.5 * state.triple[0],
@@ -219,4 +219,4 @@ def nonsmooth_minimize(
         Delta_eff = config.Delta_known if reason == STOP_DELTA_TERM else 0.0
         return x_next, trial, L, 0.0, Delta_eff, step, trials
 
-    return _run(config.base, oracle, setup, restart), records
+    return _run(config.base, oracle, feasible, restart), records

@@ -69,9 +69,9 @@ class PLConfig:
     ``Delta_cap`` clamps the adaptive gradient-error estimate from above
     (set it to the true noise level when known; the convergence dichotomy
     is stated under that clamp).  ``adapt_Delta=False`` freezes the
-    estimate at ``Delta0`` for nonadaptive comparison runs.  ``C`` is the
-    threshold constant consumed by the dichotomy report, carried here so a
-    run and its analysis share one configuration object.
+    estimate at ``Delta0`` for nonadaptive comparison runs.  The dichotomy
+    report's threshold constant C is an argument of ``pl_dichotomy_check``:
+    the run itself does not use it.
     """
 
     x0: Vector
@@ -79,7 +79,6 @@ class PLConfig:
     Delta0: float = 0.0
     delta0: float = 0.0
     N: int = 100
-    C: float = 3.0
     mu: Optional[float] = None
     Delta_cap: Optional[float] = None
     max_inner_per_iter: int = 100
@@ -95,8 +94,6 @@ class PLConfig:
             raise ValueError("delta0 and Delta0 must be nonnegative and finite")
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if not self.C > 1:
-            raise ValueError("C must exceed 1")
         if self.mu is not None:
             if not self.mu > 0:
                 raise ValueError("mu must be positive when given")

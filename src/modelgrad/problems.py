@@ -23,12 +23,10 @@ from .core import (
     Evaluation,
     FeasibleSet,
     ModelOracle,
-    ProxSetup,
     UnsupportedCombinationError,
     Vector,
     as_vector,
     norm,
-    project_ball,
 )
 from . import kernels
 
@@ -42,21 +40,9 @@ __all__ = [
     "least_squares",
     "NoisyOracle",
     "L1Penalty",
-    "BallIndicator",
     "CompositeOracle",
     "composite_oracle",
-    "save_centers",
-    "load_centers",
 ]
-
-
-def _as_centers(centers) -> np.ndarray:
-    a = np.array(centers, dtype=np.float64, order="C")
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError("centers must be a nonempty (m, n) array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("centers must be finite")
-    return a
 
 
 class _ProblemOracle(ModelOracle):
@@ -83,7 +69,11 @@ def _checked_point(problem, x) -> Vector:
 def _set_centers(problem) -> None:
     """Store a private read-only copy of the centers and its row norms, so
     the norms cannot go stale under a later write to the caller's array."""
-    a = _as_centers(problem.centers)
+    a = np.array(problem.centers, dtype=np.float64, order="C")
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise ValueError("centers must be a nonempty (m, n) array")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("centers must be finite")
     a.setflags(write=False)
     sqnorms = kernels.row_sqnorms(a)
     sqnorms.setflags(write=False)
@@ -140,9 +130,6 @@ class BallSumProblem:
 
     def oracle(self) -> ModelOracle:
         return _ProblemOracle(self)
-
-    def prox_setup(self) -> ProxSetup:
-        return ProxSetup(self.feasible)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,9 +188,6 @@ class MinMaxBallProblem:
 
     def oracle(self) -> ModelOracle:
         return _ProblemOracle(self)
-
-    def prox_setup(self) -> ProxSetup:
-        return ProxSetup(self.feasible)
 
 
 def _spread_points(n: int, m: int, seed, lo: float, hi: float) -> np.ndarray:
@@ -396,24 +380,6 @@ class L1Penalty:
         return u
 
 
-class BallIndicator:
-    """Indicator of a euclidean ball; prox is the projection."""
-
-    def __init__(self, center, radius: float):
-        self.center = as_vector(center)
-        if not (radius > 0 and np.isfinite(radius)):
-            raise ValueError("radius must be positive and finite")
-        self.radius = float(radius)
-
-    def value(self, x: Vector) -> float:
-        d = float(np.linalg.norm(as_vector(x) - self.center))
-        eps = float(np.finfo(np.float64).eps)
-        return 0.0 if d <= self.radius * (1.0 + 4.0 * eps) else math.inf
-
-    def prox(self, v: Vector, step: float) -> Vector:
-        return project_ball(as_vector(v), self.center, self.radius)
-
-
 class CompositeOracle(ModelOracle):
     """Smooth part by its own ``evaluate``, nonsmooth part by prox.
 
@@ -448,25 +414,3 @@ def composite_oracle(smooth_evaluate, penalty) -> CompositeOracle:
             "composite penalty must provide value() and prox()"
         )
     return CompositeOracle(smooth_evaluate, penalty)
-
-
-def save_centers(centers: np.ndarray, path) -> None:
-    """One center per row, comma separated, full float precision."""
-    a = _as_centers(centers)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def load_centers(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"no centers found in {path}")
-    return _as_centers(np.asarray(rows))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from modelgrad.convex import ConvexConfig, certificate_bound, convex_minimize
-from modelgrad.core import FeasibleSet, FunctionOracle, ProxSetup
+from modelgrad.core import FeasibleSet, FunctionOracle
 from modelgrad.cli import main
 from modelgrad.harness import (
     ExperimentSpec,
@@ -29,7 +29,7 @@ from modelgrad.problems import (
 )
 from reference_solvers import reference_adaptive_pgd
 
-WHOLE = ProxSetup(FeasibleSet.whole_space())
+WHOLE = FeasibleSet.whole_space()
 
 
 def _report(cid: str, ok: bool, detail: str) -> None:
@@ -101,7 +101,7 @@ def test_02_zero_noise_matches_reference_projected_gradient():
             else FeasibleSet.whole_space()
         )
         cfg = ConvexConfig(x0=np.zeros(n), L0=1.0, N=100)
-        tr = convex_minimize(cfg, prob.oracle(), ProxSetup(fs))
+        tr = convex_minimize(cfg, prob.oracle(), fs)
         ref = reference_adaptive_pgd(
             np.zeros(n), prob.value, prob.gradient, fs.project, 1.0, 100
         )
@@ -160,7 +160,7 @@ def test_04_certificate_bounds_true_gap():
         else:
             a = rng.standard_normal(5)
             mm = MinMaxBallProblem(a[None, :])
-            oracle, setup = mm.oracle(), mm.prox_setup()
+            oracle, setup = mm.oracle(), mm.feasible
             x_star, f_star, value = a, 0.0, mm.value
         x0 = np.zeros(5)
         R = float(np.linalg.norm(x_star - x0)) / math.sqrt(2.0)
@@ -227,7 +227,7 @@ def test_06_noisy_gradient_dichotomy():
             noisy = NoisyOracle(prob.oracle(), Delta=Delta, seed=seed)
             gap0 = prob.value(np.zeros(12)) - prob.f_star
             cfg = PLConfig(
-                x0=np.zeros(12), L0=2.0 * prob.L, Delta0=Delta, N=N, C=3.0,
+                x0=np.zeros(12), L0=2.0 * prob.L, Delta0=Delta, N=N,
                 mu=prob.mu, Delta_cap=Delta,
                 store_iterates=False, adapt_Delta=False,
             )
@@ -260,7 +260,7 @@ def test_07_restart_doubling_count_within_bound():
             store_iterates=False,
         )
         cfg = NonsmoothConfig(base=base, epsilon=0.05, Delta_known=2.0, L_class=1.0)
-        _, records = nonsmooth_minimize(cfg, prob.oracle(), prob.prox_setup())
+        _, records = nonsmooth_minimize(cfg, prob.oracle(), prob.feasible)
         worst_p = max(worst_p, max(r.p_used for r in records))
     ok = worst_p <= cap
     _report(

@@ -17,12 +17,11 @@ from modelgrad.core import (
     FunctionOracle,
     NonFiniteOracleError,
     NonTerminationError,
-    ProxSetup,
 )
 from modelgrad.problems import L1Penalty, NoisyOracle, composite_oracle, pl_quadratic_make
 from reference_solvers import reference_adaptive_pgd
 
-WHOLE = ProxSetup(FeasibleSet.whole_space())
+WHOLE = FeasibleSet.whole_space()
 
 
 def linear_oracle(g):
@@ -42,8 +41,10 @@ class TestModelStep:
         np.testing.assert_array_equal(x, [-0.5, 0.0])
 
     def test_projects_onto_ball(self):
-        setup = ProxSetup(FeasibleSet.ball(np.zeros(2), 1.0))
-        x = model_step(linear_oracle([-4.0, 0.0]), setup, np.zeros(2), 2.0, np.array([-4.0, 0.0]))
+        feasible = FeasibleSet.ball(np.zeros(2), 1.0)
+        x = model_step(
+            linear_oracle([-4.0, 0.0]), feasible, np.zeros(2), 2.0, np.array([-4.0, 0.0])
+        )
         np.testing.assert_array_equal(x, [1.0, 0.0])
 
     def test_composite_part_soft_thresholds(self):
@@ -132,10 +133,10 @@ class TestConvexMinimize:
         assert trace.S_N >= N / (2.0 * prob.L) - 1e-12
 
     def test_infeasible_start_rejected(self):
-        setup = ProxSetup(FeasibleSet.ball(np.zeros(2), 1.0))
+        feasible = FeasibleSet.ball(np.zeros(2), 1.0)
         config = ConvexConfig(x0=np.array([3.0, 0.0]))
         with pytest.raises(ValueError):
-            convex_minimize(config, quadratic_oracle(), setup)
+            convex_minimize(config, quadratic_oracle(), feasible)
 
     @pytest.mark.parametrize("levels", [{"delta0": -0.1}, {"Delta0": np.inf}, {"delta0": np.nan}])
     def test_config_refuses_negative_or_nonfinite_noise_levels(self, levels):
@@ -345,16 +346,16 @@ def test_zero_noise_run_matches_reference_solver():
     b = rng.standard_normal(6)
     prob = pl_quadratic_make(A, b)
     x0 = rng.standard_normal(4)
-    setup = ProxSetup(FeasibleSet.ball(np.zeros(4), 2.0))
+    feasible = FeasibleSet.ball(np.zeros(4), 2.0)
 
     config = ConvexConfig(x0=x0, L0=1.0, N=30)
-    trace = convex_minimize(config, prob.oracle(), setup)
+    trace = convex_minimize(config, prob.oracle(), feasible)
 
     ref = reference_adaptive_pgd(
         x0,
         prob.value,
         prob.gradient,
-        lambda v: setup.feasible.project(v),
+        lambda v: feasible.project(v),
         L0=1.0,
         N=30,
     )

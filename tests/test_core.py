@@ -13,7 +13,6 @@ from modelgrad.core import (
     FeasibleSet,
     FunctionOracle,
     ModelOracle,
-    ProxSetup,
     NonTerminationError,
     UnsupportedCombinationError,
     as_vector,
@@ -198,7 +197,7 @@ class TestBacktrack:
         config = ConvexConfig(x0=np.array([1.0, -2.0]), L0=L0, delta0=L0 / 10,
                               Delta0=L0 / 100, N=N)
         oracle = FunctionOracle(lambda x: float(x @ x), lambda x: 2.0 * x)
-        trace = convex_minimize(config, oracle, ProxSetup(FeasibleSet.whole_space()))
+        trace = convex_minimize(config, oracle, FeasibleSet.whole_space())
         np.testing.assert_array_equal(trace.delta_hist / trace.L_hist, (L0 / 10) / L0)
         np.testing.assert_array_equal(trace.Delta_hist / trace.L_hist, (L0 / 100) / L0)
 
@@ -208,12 +207,12 @@ class TestBacktrack:
         [
             (lambda oracle, cap: convex_minimize(
                 ConvexConfig(x0=np.zeros(2), N=3, max_inner_per_iter=cap),
-                oracle, ProxSetup(FeasibleSet.whole_space())),
+                oracle, FeasibleSet.whole_space()),
              (32.0, 0.0, 0.0)),
             (lambda oracle, cap: nonsmooth_minimize(
                 NonsmoothConfig(base=ConvexConfig(x0=np.zeros(2), N=3, max_inner_per_iter=cap),
                                 epsilon=0.1, Delta_known=0.4),
-                oracle, ProxSetup(FeasibleSet.whole_space())),
+                oracle, FeasibleSet.whole_space()),
              (32.0, 0.0, 0.4)),
             (lambda oracle, cap: pl_minimize(
                 PLConfig(x0=np.zeros(2), N=3, max_inner_per_iter=cap), oracle),
@@ -238,10 +237,10 @@ class TestBacktrack:
         "solve",
         [
             lambda oracle, base: convex_minimize(
-                base, oracle, ProxSetup(FeasibleSet.whole_space())),
+                base, oracle, FeasibleSet.whole_space()),
             lambda oracle, base: nonsmooth_minimize(
                 NonsmoothConfig(base=base, epsilon=0.1),
-                oracle, ProxSetup(FeasibleSet.whole_space()))[0],
+                oracle, FeasibleSet.whole_space())[0],
             lambda oracle, base: pl_minimize(
                 PLConfig(x0=base.x0, L0=base.L0, N=base.N,
                          max_inner_per_iter=base.max_inner_per_iter), oracle),

@@ -12,7 +12,7 @@ import pytest
 
 from modelgrad import harness, kernels, problems
 from modelgrad.convex import ConvexConfig, convex_minimize, model_step
-from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle, ProxSetup
+from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle
 from modelgrad.harness import ExperimentSpec
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from modelgrad.pl import PLConfig, pl_minimize
@@ -27,12 +27,12 @@ from modelgrad.problems import (
 )
 
 N_DIM = 30
-WHOLE = ProxSetup(FeasibleSet.whole_space())
+WHOLE = FeasibleSet.whole_space()
 DELTA, SMALL_DELTA = 0.05, 0.01
 
 
 def _problem(kind):
-    """(oracle factory, reference factory, setup) of one shipped oracle
+    """(oracle factory, reference factory, feasible) of one shipped oracle
     family.  The reference is a ``FunctionOracle`` over the problem's own
     ``value`` and (sub)gradient methods, which sweep each point separately;
     for composite, its smooth part calls ``least_squares`` once for the
@@ -40,7 +40,7 @@ def _problem(kind):
     if kind in ("ballsum", "minmax"):
         make = generate_task1 if kind == "ballsum" else generate_task2
         prob = make(n=N_DIM, m=5, seed=1 if kind == "ballsum" else 2)
-        return prob.oracle, lambda: FunctionOracle(prob.value, prob.subgradient), prob.prox_setup()
+        return prob.oracle, lambda: FunctionOracle(prob.value, prob.subgradient), prob.feasible
     if kind == "quadratic":
         rng = np.random.default_rng(3)
         prob = pl_quadratic_make(rng.standard_normal((20, N_DIM)), rng.standard_normal(20))
@@ -62,24 +62,24 @@ def _problem(kind):
 def _oracles(kind, mode):
     """The shipped oracle and its reference, both wrapped in the same
     noise when ``mode`` is set."""
-    make, reference, setup = _problem(kind)
+    make, reference, feasible = _problem(kind)
     if mode is None:
-        return make(), reference(), setup
+        return make(), reference(), feasible
 
     def noisy(inner):
         return NoisyOracle(inner, Delta=DELTA, delta=SMALL_DELTA, mode=mode, seed=5)
 
-    return noisy(make()), noisy(reference()), setup
+    return noisy(make()), noisy(reference()), feasible
 
 
-def _run(solver, oracle, setup, noisy):
+def _run(solver, oracle, feasible, noisy):
     x0 = np.zeros(N_DIM)
     levels = dict(delta0=SMALL_DELTA, Delta0=DELTA) if noisy else {}
     if solver == "convex":
-        return convex_minimize(ConvexConfig(x0=x0, N=40, R=1.0, **levels), oracle, setup)
+        return convex_minimize(ConvexConfig(x0=x0, N=40, R=1.0, **levels), oracle, feasible)
     if solver == "nonsmooth":
         cfg = NonsmoothConfig(base=ConvexConfig(x0=x0, N=40, R=1.0), epsilon=0.05, Delta_known=2.0)
-        trace, records = nonsmooth_minimize(cfg, oracle, setup)
+        trace, records = nonsmooth_minimize(cfg, oracle, feasible)
         assert records
         return trace
     return pl_minimize(
@@ -113,10 +113,10 @@ NOISE = (None,) + NoisyOracle.MODES
     [("convex", m) for m in NOISE] + [("nonsmooth", None)] + [("pl", m) for m in NOISE],
 )
 def test_fused_evaluation_gives_bitwise_equal_traces(kind, solver, mode):
-    fused, reference, setup = _oracles(kind, mode)
-    trace = _run(solver, fused, setup, mode is not None)
+    fused, reference, feasible = _oracles(kind, mode)
+    trace = _run(solver, fused, feasible, mode is not None)
     assert trace.N_run > 0
-    _assert_traces_equal(trace, _run(solver, reference, setup, mode is not None))
+    _assert_traces_equal(trace, _run(solver, reference, feasible, mode is not None))
 
 
 def test_composite_decisions_match_the_oracle_model():
@@ -165,8 +165,8 @@ def test_each_point_is_computed_once(monkeypatch, kind, solver):
     _count(monkeypatch, problems, "least_squares", sweeps)
     _count(monkeypatch, harness, "least_squares", sweeps)
     _count(monkeypatch, problems.L1Penalty, "value", l1)
-    make, _, setup = _problem(kind)
-    trace = _run(solver, make(), setup, False)
+    make, _, feasible = _problem(kind)
+    trace = _run(solver, make(), feasible, False)
     evaluations = int(trace.inner_hist.sum()) + 1
     assert trace.N_run == 40
     assert sweeps[0] == evaluations

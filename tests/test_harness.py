@@ -122,10 +122,9 @@ class TestExperimentSpec:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_incompatible_combo_rejected_at_run(self):
-        spec = ExperimentSpec(task="pl-quadratic", solver="algo1")
-        with pytest.raises(ValueError):
-            run_single(spec)
+    def test_incompatible_combo_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="supports solvers \\('algo2',\\)"):
+            ExperimentSpec(task="pl-quadratic", solver="algo1")
 
 
 class TestConfigFiles:
@@ -165,6 +164,7 @@ class TestConfigFiles:
         "content,lineno",
         [
             ("task = task1\nbudget = 3\n", 2),
+            ("task = task1\nC = 3.0\n", 2),
             ("task = task1\ntask = task2\n", 2),
             ("n = seven\ntask = task1\n", 1),
             ("task task1\n", 1),
@@ -334,6 +334,15 @@ class TestCLI:
         assert rc == 2
         capsys.readouterr()
 
+    def test_compare_refuses_a_geometric_task(self, tmp_path, capsys):
+        # compare runs algo2, which task1 does not take; it used to run PL
+        # quadratics anyway and exit 0
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--task", "task1", "--n", "5", "--m", "3", "--out", str(out)])
+        assert rc == 2
+        assert "supports solvers ('nonsmooth', 'algo1')" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_smoke(self, tmp_path):
         out = tmp_path / "cmp.csv"
         rc = main(
@@ -349,6 +358,11 @@ class TestCLI:
         captured = capsys.readouterr().out
         assert "[PASS]" in captured
         assert "[FAIL]" not in captured
+
+    def test_check_keeps_explicit_zero_noise_levels(self, capsys):
+        rc = main(["check", "--Delta", "0", "--delta", "0", "--n", "8", "--m", "3"])
+        assert rc == 0
+        assert "vs Delta=0.0)" in capsys.readouterr().out
 
     def test_config_file_drives_solve(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -7,7 +7,6 @@ from modelgrad.core import (
     FunctionOracle,
     NonFiniteOracleError,
     NonTerminationError,
-    ProxSetup,
 )
 from modelgrad.nonsmooth import (
     STOP_DELTA_TERM,
@@ -20,8 +19,8 @@ from modelgrad.nonsmooth import (
 )
 from modelgrad.problems import NoisyOracle, generate_task1, pl_quadratic_make
 
-WHOLE = ProxSetup(FeasibleSet.whole_space())
-UNIT_BALL = ProxSetup(FeasibleSet.ball(np.zeros(2), 1.0))
+WHOLE = FeasibleSet.whole_space()
+UNIT_BALL = FeasibleSet.ball(np.zeros(2), 1.0)
 
 
 class TestDoublingBound:
@@ -156,7 +155,7 @@ class TestNonsmoothMinimize:
             Delta_known=Delta_class,
             L_class=L_class,
         )
-        trace, records = nonsmooth_minimize(config, prob.oracle(), prob.prox_setup())
+        trace, records = nonsmooth_minimize(config, prob.oracle(), prob.feasible)
         cap = p_bound(Delta_class, eps, L_class)
         assert all(r.p_used <= cap for r in records)
         assert all(r.stop_reason in (STOP_SMOOTH, STOP_DELTA_TERM) for r in records)
@@ -170,7 +169,7 @@ class TestNonsmoothMinimize:
             epsilon=eps,
             Delta_known=8.0,
         )
-        trace, records = nonsmooth_minimize(config, prob.oracle(), prob.prox_setup())
+        trace, records = nonsmooth_minimize(config, prob.oracle(), prob.feasible)
 
         weights = 1.0 / trace.L_hist
         S_k = np.cumsum(weights)

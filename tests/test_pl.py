@@ -200,8 +200,6 @@ class TestMinimize:
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), N=0)
         with pytest.raises(ValueError):
-            PLConfig(x0=np.zeros(2), C=1.0)
-        with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), mu=-1.0)
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), Delta_cap=-0.5)

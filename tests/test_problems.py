@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from modelgrad.core import FeasibleSet, FunctionOracle, UnsupportedCombinationError
 from modelgrad.problems import (
-    BallIndicator,
     BallSumProblem,
     L1Penalty,
     MinMaxBallProblem,
@@ -13,9 +10,7 @@ from modelgrad.problems import (
     composite_oracle,
     generate_task1,
     generate_task2,
-    load_centers,
     pl_quadratic_make,
-    save_centers,
 )
 from reference_solvers import grid_search_min
 
@@ -270,12 +265,6 @@ class TestPenalties:
         pen = L1Penalty(0.5)
         assert pen.value(np.array([1.0, -2.0])) == 1.5
 
-    def test_ball_indicator(self):
-        ind = BallIndicator(np.zeros(2), 1.0)
-        assert ind.value(np.array([0.5, 0.0])) == 0.0
-        assert ind.value(np.array([2.0, 0.0])) == math.inf
-        np.testing.assert_allclose(ind.prox(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
-
     def test_composite_oracle_value_splits(self):
         oracle = composite_oracle(
             FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy()).evaluate,
@@ -294,19 +283,3 @@ class TestPenalties:
 
         with pytest.raises(UnsupportedCombinationError):
             composite_oracle(FunctionOracle(lambda x: 0.0, lambda x: x).evaluate, NoProx())
-
-
-def test_centers_roundtrip_is_bitwise(tmp_path):
-    rng = np.random.default_rng(2)
-    centers = rng.standard_normal((5, 7)) * 1e3
-    path = tmp_path / "centers.csv"
-    save_centers(centers, path)
-    back = load_centers(path)
-    np.testing.assert_array_equal(back, centers)
-
-
-def test_load_centers_rejects_empty(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("\n")
-    with pytest.raises(ValueError):
-        load_centers(path)

@@ -21,7 +21,6 @@ from modelgrad.core import (
     FunctionOracle,
     ModelOracle,
     NonFiniteTrialPointError,
-    ProxSetup,
     project_ball,
 )
 from modelgrad.harness import ExperimentSpec, _composite_objects
@@ -38,7 +37,7 @@ from modelgrad.problems import (
 N_DIM = 20
 TINY_L0 = 1e-310  # g / L overflows, so the first trial point is not finite
 SOLVERS = ("algo1", "nonsmooth", "algo2")
-WHOLE = ProxSetup(FeasibleSet.whole_space())
+WHOLE = FeasibleSet.whole_space()
 
 
 def _quadratic():
@@ -46,33 +45,33 @@ def _quadratic():
     return pl_quadratic_make(rng.standard_normal((30, N_DIM)), rng.standard_normal(30))
 
 
-def _solve(solver, oracle, setup, x0, L0=1.0, N=30):
+def _solve(solver, oracle, feasible, x0, L0=1.0, N=30):
     if solver == "algo2":
         return pl_minimize(PLConfig(x0=x0, L0=L0, N=N, store_iterates=True), oracle)
     base = ConvexConfig(x0=x0, L0=L0, N=N, R=1.0, store_iterates=True)
     if solver == "algo1":
-        return convex_minimize(base, oracle, setup)
+        return convex_minimize(base, oracle, feasible)
     cfg = NonsmoothConfig(base=base, epsilon=0.05, Delta_known=2.0)
-    return nonsmooth_minimize(cfg, oracle, setup)[0]
+    return nonsmooth_minimize(cfg, oracle, feasible)[0]
 
 
 def _problem(solver):
-    """(problem, setup) each solver runs on: the ball sum for the model-step
+    """(problem, feasible) each solver runs on: the ball sum for the model-step
     solvers, a least-squares quadratic for algo2."""
     if solver == "algo2":
         return _quadratic(), None
     prob = generate_task1(n=N_DIM, m=5, seed=3)
-    return prob, prob.prox_setup()
+    return prob, prob.feasible
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_non_finite_trial_point_fails_at_once(solver):
     """A tiny L0 overflows the first step; the run raises at iteration 0
     instead of evaluating the point, which the ball sum would read as 0."""
-    prob, setup = _problem(solver)
+    prob, feasible = _problem(solver)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError) as info:
-            _solve(solver, prob.oracle(), setup, np.zeros(N_DIM), L0=TINY_L0)
+            _solve(solver, prob.oracle(), feasible, np.zeros(N_DIM), L0=TINY_L0)
     assert getattr(info.value, "iteration", 0) == 0
 
 
@@ -80,7 +79,7 @@ def test_non_finite_trial_point_fails_at_once(solver):
 def test_non_finite_trial_point_error_names_point_and_iteration(solver):
     """The refusal comes from the solver, for any oracle: one built from
     callables never sees the point."""
-    prob, setup = _problem(solver)
+    prob, feasible = _problem(solver)
     seen = []
 
     def value(x):
@@ -91,7 +90,7 @@ def test_non_finite_trial_point_error_names_point_and_iteration(solver):
     oracle = FunctionOracle(value, gradient)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteTrialPointError, match="trial point at iteration 0") as info:
-            _solve(solver, oracle, setup, np.zeros(N_DIM), L0=TINY_L0)
+            _solve(solver, oracle, feasible, np.zeros(N_DIM), L0=TINY_L0)
     assert info.value.iteration == 0
     assert not np.isfinite(info.value.point).all()
     assert len(seen) == 1  # x0 only
@@ -110,7 +109,7 @@ def test_finite_point_with_an_overflowing_step_is_evaluated():
     oracle = FunctionOracle(value, lambda x: np.full(2, -1e300))
     cfg = ConvexConfig(x0=np.array([-1e300, -1e300]), L0=2.0, N=1)
     with np.errstate(over="ignore"):
-        convex_minimize(cfg, oracle, ProxSetup(FeasibleSet.whole_space()))
+        convex_minimize(cfg, oracle, FeasibleSet.whole_space())
     assert seen[1].tobytes() == np.zeros(2).tobytes()  # x0 - g/L, |d|^2 = inf
 
 
@@ -124,13 +123,13 @@ def test_solvers_write_into_no_point_they_keep(solver):
         fresh = lambda: _composite_objects(  # noqa: E731
             ExperimentSpec(task="composite", n=N_DIM, m=15), 4
         )
-        setup, run_as = ProxSetup(FeasibleSet.whole_space()), "algo1"
+        feasible, run_as = FeasibleSet.whole_space(), "algo1"
     else:
-        prob, setup = _problem(solver)
+        prob, feasible = _problem(solver)
         oracle, fresh, run_as = prob.oracle(), prob.oracle, solver
     x0 = np.random.default_rng(9).uniform(-0.05, 0.05, N_DIM)
     before = x0.copy()
-    trace = _solve(run_as, oracle, setup, x0)
+    trace = _solve(run_as, oracle, feasible, x0)
     assert x0.tobytes() == before.tobytes()
     x0 += 1.0
     assert trace.x0.tobytes() == before.tobytes()
