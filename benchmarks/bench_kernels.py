@@ -15,6 +15,11 @@ of an accepted step (``convex._record``, then ``Recorder.add`` where the
 solvers book their rows through one).  Run the script with another
 checkout's ``src`` on PYTHONPATH to compare these layers across versions.
 
+Last, the composite workload's two matrix-vector products, ``A.dot(x)``
+and ``A.T.dot(r)``, at its 100x1000 ``A``, with the data of ``A`` 16
+bytes past a 64-byte boundary (where numpy's allocator puts an array that
+large) and on the boundary (where the problems store their matrices).
+
 Reports the best per-call microseconds of each, and each kernel's
 speed-up over its direct formula.  BLAS and OpenMP run on one thread, as
 in the repository's benchmark.
@@ -106,6 +111,26 @@ def trial_path_cases(centers, x, rng):
     )
 
 
+def _at_offset(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
+    boundary."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start : start + a.nbytes].view(np.float64).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def matvec_cases(rng, m, n):
+    """(row, call, args) for the composite workload's matvecs."""
+    A = rng.standard_normal((m, n))
+    x, r = rng.standard_normal(n), rng.standard_normal(m)
+    for offset in (16, 0):
+        a = _at_offset(A, offset)
+        yield f"A.dot(x), off {offset}", a.dot, (x,)
+        yield f"A.T.dot(r), off {offset}", a.T.dot, (r,)
+
+
 def _best_us(fn, args, repeats):
     fn(*args)  # warm-up
     best = float("inf")
@@ -157,6 +182,14 @@ def main() -> int:
     for n, m, centers, x in cases_by_size:
         for name, call in trial_path_cases(centers, x, rng):
             print(f"{name:<22}{n:>8}{m:>6}{_best_us(call, (), args.repeats):>10.1f}")
+
+    header = f"{'composite matvec':<22}{'n':>8}{'m':>6}{'us':>10}"
+    print()
+    print(header)
+    print("-" * len(header))
+    m, n = 100, 1000  # the composite workload's A
+    for name, call, call_args in matvec_cases(rng, m, n):
+        print(f"{name:<22}{n:>8}{m:>6}{_best_us(call, call_args, args.repeats):>10.1f}")
     return 0
 
 

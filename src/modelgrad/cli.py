@@ -160,29 +160,23 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _smooth_point_task1(problem, rng, margin=1e-3):
+def _smooth_point(problem, rng, smooth):
+    """A random point of norm below 0.99 at which ``smooth`` accepts the
+    vector of its distances to the problem's centers."""
     for _ in range(1000):
         x = rng.standard_normal(problem.dim)
         x *= rng.uniform(0.0, 0.99) / np.linalg.norm(x)
-        d = np.sqrt(((problem.centers - x) ** 2).sum(axis=1))
-        if np.all(np.abs(d - problem.ball_radius) > margin):
-            return x
-    raise RuntimeError("could not sample a smooth point")
-
-
-def _smooth_point_task2(problem, rng, margin=1e-3):
-    for _ in range(1000):
-        x = rng.standard_normal(problem.dim)
-        x *= rng.uniform(0.0, 0.99) / np.linalg.norm(x)
-        d = np.sort(np.sqrt(((problem.centers - x) ** 2).sum(axis=1)))
-        if d[-1] - d[-2] > margin and d[-1] > margin:
+        if smooth(np.sqrt(((problem.centers - x) ** 2).sum(axis=1))):
             return x
     raise RuntimeError("could not sample a smooth point")
 
 
 def _cmd_check(args) -> int:
-    n = args.n or 20
-    m = args.m or 6
+    n = 20 if args.n is None else args.n
+    m = 6 if args.m is None else args.m
+    for flag, size in (("--n", n), ("--m", m)):
+        if size < 1:
+            raise ValueError(f"{flag} must be at least 1, got {size}")
     seed = args.seed or 0
     rng = np.random.default_rng(seed)
     ok = True
@@ -193,14 +187,21 @@ def _cmd_check(args) -> int:
         rng.standard_normal((m + 2, n)), rng.standard_normal(m + 2)
     )
 
-    worst = 0.0
-    for _ in range(20):
-        worst = max(worst, finite_diff_check(t1.oracle(), _smooth_point_task1(t1, rng)))
-    ok &= _report("finite-diff task1", worst < 1e-5, f"max rel err {worst:.2e}")
-    worst = 0.0
-    for _ in range(20):
-        worst = max(worst, finite_diff_check(t2.oracle(), _smooth_point_task2(t2, rng)))
-    ok &= _report("finite-diff task2", worst < 1e-5, f"max rel err {worst:.2e}")
+    margin = 1e-3
+
+    def off_the_spheres(d):  # task1 is smooth off every ball's boundary
+        return np.all(np.abs(d - t1.ball_radius) > margin)
+
+    def one_farthest(d):  # task2 is smooth where one center is farthest
+        top = np.sort(d)[-2:]
+        return top[-1] > margin and (len(top) == 1 or top[-1] - top[0] > margin)
+
+    for name, problem, smooth in (("task1", t1, off_the_spheres), ("task2", t2, one_farthest)):
+        worst = max(
+            finite_diff_check(problem.oracle(), _smooth_point(problem, rng, smooth))
+            for _ in range(20)
+        )
+        ok &= _report(f"finite-diff {name}", worst < 1e-5, f"max rel err {worst:.2e}")
     worst = max(
         finite_diff_check(quad.oracle(), rng.standard_normal(n)) for _ in range(20)
     )

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ModelOracle, Trace, Vector, as_vector
+from .core import FeasibleSet, ModelOracle, Trace, Vector, aligned_empty, as_vector
 from .convex import ConvexConfig, convex_minimize
 from .nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from .pl import PLConfig, _factors, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
@@ -327,7 +327,9 @@ def _quadratic_problem(spec: ExperimentSpec, rep_seed: int):
 
 def _composite_objects(spec: ExperimentSpec, rep_seed: int):
     rng = np.random.default_rng(rep_seed)
-    A = rng.standard_normal((spec.m, spec.n))
+    A = aligned_empty((spec.m, spec.n))
+    rng.standard_normal(out=A)  # the draws of standard_normal((m, n)), no copy
+    A.setflags(write=False)
     b = rng.standard_normal(spec.m)
     return composite_oracle(
         functools.partial(least_squares, A, b), L1Penalty(_COMPOSITE_WEIGHT)

@@ -25,6 +25,7 @@ from .core import (
     ModelOracle,
     UnsupportedCombinationError,
     Vector,
+    aligned_empty,
     as_vector,
     norm,
 )
@@ -67,11 +68,14 @@ def _checked_point(problem, x) -> Vector:
 
 
 def _set_centers(problem) -> None:
-    """Store a private read-only copy of the centers and its row norms, so
-    the norms cannot go stale under a later write to the caller's array."""
-    a = np.array(problem.centers, dtype=np.float64, order="C")
-    if a.ndim != 2 or a.shape[0] < 1:
+    """Store a private read-only 64-byte aligned copy of the centers and
+    its row norms, so the norms cannot go stale under a later write to the
+    caller's array."""
+    centers = np.asarray(problem.centers, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[0] < 1:
         raise ValueError("centers must be a nonempty (m, n) array")
+    a = aligned_empty(centers.shape)
+    a[...] = centers
     if not np.all(np.isfinite(a)):
         raise ValueError("centers must be finite")
     a.setflags(write=False)
@@ -249,10 +253,17 @@ def least_squares(A: np.ndarray, b: Vector, x: Vector) -> Evaluation:
 
 
 def pl_quadratic_make(A, b) -> PLQuadratic:
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    b = as_vector(b)
-    if A.ndim != 2 or A.shape[0] != len(b):
+    """The quadratic 0.5 ||A x - b||^2 with its constants, on private
+    read-only copies of ``A`` (64-byte aligned) and ``b``: a later write to
+    the caller's arrays moves neither the objective nor its constants."""
+    matrix = np.asarray(A, dtype=np.float64)
+    b = as_vector(b).copy()
+    if matrix.ndim != 2 or matrix.shape[0] != len(b):
         raise ValueError("A must be 2-D with rows matching b")
+    A = aligned_empty(matrix.shape)
+    A[...] = matrix
+    A.setflags(write=False)
+    b.setflags(write=False)
     evals = np.linalg.eigvalsh(A.T @ A)
     tol = float(evals[-1]) * max(A.shape) * np.finfo(np.float64).eps
     positive = evals[evals > tol]

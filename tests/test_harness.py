@@ -1,9 +1,12 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from modelgrad import cli
+from modelgrad import cli, harness
 from modelgrad.cli import main
-from modelgrad.core import NonTerminationError
+from modelgrad.core import FeasibleSet, NonTerminationError, aligned_empty
 from modelgrad.harness import (
     TABLE_COLUMNS,
     TRACE_COLUMNS,
@@ -19,7 +22,7 @@ from modelgrad.harness import (
     write_config,
     write_csv,
 )
-from modelgrad.problems import pl_quadratic_make
+from modelgrad.problems import L1Penalty, composite_oracle, least_squares, pl_quadratic_make
 
 
 class TestParseGrid:
@@ -262,6 +265,39 @@ class TestRunners:
             compare_adaptive_nonadaptive(spec)
 
 
+def _at_offset(a, offset):
+    """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
+    boundary."""
+    out = aligned_empty((a.size + 8,))[offset // 8 :][: a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def test_composite_outputs_do_not_depend_on_where_A_sits():
+    spec = ExperimentSpec(task="composite", n=1000, m=100, iteration_grid=(60,))
+    A, b = harness._composite_objects(spec, 0)._evaluate_smooth.args
+    assert A.ctypes.data % 64 == 0
+    assert A.flags.c_contiguous and not A.flags.writeable
+    traces = []
+    for offset in (0, 16, 32, 48):
+        moved = _at_offset(A, offset)
+        assert moved.ctypes.data % 64 == offset
+        oracle = composite_oracle(
+            functools.partial(least_squares, moved, b), L1Penalty(harness._COMPOSITE_WEIGHT)
+        )
+        traces.append(harness._solve(spec, None, oracle, FeasibleSet.whole_space())[0])
+    assert traces[0].N_run == 60
+    for trace in traces[1:]:
+        for f in dataclasses.fields(trace):
+            if f.name == "elapsed_ms":
+                continue
+            got, want = getattr(trace, f.name), getattr(traces[0], f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+
+
 class TestFiniteDiff:
     def test_exact_gradient_passes(self):
         rng = np.random.default_rng(0)
@@ -363,6 +399,15 @@ class TestCLI:
         rc = main(["check", "--Delta", "0", "--delta", "0", "--n", "8", "--m", "3"])
         assert rc == 0
         assert "vs Delta=0.0)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_check_refuses_sizes_below_one(self, flag, capsys):
+        assert main(["check", flag, "0"]) == 2
+        assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_check_runs_with_one_center(self, capsys):
+        assert main(["check", "--n", "8", "--m", "1"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_config_file_drives_solve(self, tmp_path):
         cfg = tmp_path / "run.cfg"

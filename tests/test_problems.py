@@ -59,6 +59,24 @@ def test_row_norms_cannot_go_stale(cls):
         prob.centers[1, 1] = 50.0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: generate_task1(n=50, m=7, seed=1).centers,
+        lambda rng: generate_task2(n=50, m=7, seed=1).centers,
+        lambda rng: pl_quadratic_make(rng.standard_normal((9, 50)), rng.standard_normal(9)).A,
+        # a caller's matrix that starts 8 bytes past a 64-byte boundary
+        lambda rng: BallSumProblem(np.zeros(8 * 31 + 1)[1:].reshape(8, 31)).centers,
+    ],
+    ids=["task1", "task2", "pl-quadratic", "offset-input"],
+)
+def test_problem_matrices_are_aligned_private_copies(build):
+    a = build(np.random.default_rng(0))
+    assert a.ctypes.data % 64 == 0
+    assert a.flags.c_contiguous and a.dtype == np.float64
+    assert not a.flags.writeable
+
+
 class TestMinMax:
     def test_frozen_two_point_instance(self):
         prob = MinMaxBallProblem(np.array([[1.0, 0.0], [-1.0, 0.0]]))
@@ -126,6 +144,23 @@ class TestPLQuadratic:
         assert prob.L == pytest.approx(evals[-1], rel=1e-12)
         assert prob.mu == pytest.approx(evals[0], rel=1e-9)
         assert prob.mu <= prob.L
+
+    def test_later_writes_to_the_inputs_change_nothing(self):
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((8, 5))
+        b = rng.standard_normal(8)
+        prob = pl_quadratic_make(A, b)
+        x = rng.standard_normal(5)
+        value, grad_star = prob.value(x), prob.gradient(prob.x_star)
+        constants = (prob.mu, prob.L, prob.f_star, prob.x_star.copy())
+        A[0, 0] += 10.0
+        b[0] -= 10.0
+        assert prob.value(x) == value
+        np.testing.assert_array_equal(prob.gradient(prob.x_star), grad_star)
+        assert np.linalg.norm(grad_star) < 1e-12
+        assert (prob.mu, prob.L, prob.f_star) == constants[:3]
+        np.testing.assert_array_equal(prob.x_star, constants[3])
+        assert not prob.A.flags.writeable and not prob.b.flags.writeable
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
