@@ -10,9 +10,8 @@ min-max), the model step with its projection onto the unit ball at the
 origin (a step that stays inside and one that is projected), the inside
 test of that projection alone and of one on a ball off the origin, one
 evaluation through the oracle the solvers query and one through the
-public ``problem.evaluate``, which checks its point, and the bookkeeping
-of an accepted step (``convex._record``, then ``Recorder.add`` where the
-solvers book their rows through one).  Run the script with another
+public ``problem.evaluate``, which checks its point, and the row an
+accepted step books through ``Recorder.add``.  Run the script with another
 checkout's ``src`` on PYTHONPATH to compare these layers across versions.
 
 Last, the composite workload's two matrix-vector products, ``A.dot(x)``
@@ -74,15 +73,6 @@ def ballsum_sweep(centers, x, radius, sqnorms):
     return kernels.ballsum_value_from(sq, radius), sq, redo
 
 
-def record_step(state, rec, x, trial):
-    """The bookkeeping of one accepted step, as ``convex._run`` does it:
-    ``_record``, then the row through the ``Recorder``.  A checkout without
-    a ``Recorder`` (``rec`` None) books the row inside ``_record``."""
-    convex._record(state, x, trial, 1.0, 0.0, 0.0, 0.1, 2)
-    if rec is not None:
-        rec.add(x, trial.value, 1.0, 0.0, 0.0, 2, 0.1, math.nan)
-
-
 def trial_path_cases(centers, x, rng):
     """(layer, call) pairs at one size, on task1's geometry."""
     prob = BallSumProblem(centers)
@@ -95,9 +85,7 @@ def trial_path_cases(centers, x, rng):
     g_out = rng.standard_normal(n)  # a step of length 2 leaves the unit ball
     g_out *= 2.0 / np.linalg.norm(g_out)
     L_in = 4.0 * np.linalg.norm(g)  # a step of length 1/4 stays inside
-    state = convex.ConvexState(x=x, f_x=0.0, triple=(1.0, 0.0, 0.0), weighted_sum=np.zeros(n))
-    trial = oracle.evaluate(x)
-    rec = core.Recorder(x, False) if hasattr(core, "Recorder") else None
+    rec = core.Recorder(x, False)
     return (
         ("ballsum sweep", lambda: ballsum_sweep(centers, x, 1.0, sqnorms)),
         ("minmax sweep", lambda: kernels.minmax_value(centers, x, minmax.sqnorms)),
@@ -107,7 +95,7 @@ def trial_path_cases(centers, x, rng):
         ("project inside, off 0", lambda: off_origin.project(x)),
         ("oracle.evaluate", lambda: oracle.evaluate(x)),
         ("problem.evaluate", lambda: prob.evaluate(x)),
-        ("_record", lambda: record_step(state, rec, x, trial)),
+        ("Recorder.add", lambda: rec.add(x, 0.0, 1.0, 0.0, 0.0, 2, 0.1, math.nan)),
     )
 
 

@@ -49,32 +49,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="config file (key = value lines)")
-        p.add_argument("--task", choices=TASKS)
+    def add_sizes_and_noise(p):
         p.add_argument("--n", type=int, help="problem dimension")
         p.add_argument("--m", type=int, help="number of centers / rows")
-        p.add_argument("--iters", help="iteration grid, e.g. 200,400 or 200..1000")
-        p.add_argument("--reps", type=int, help="replications per grid cell")
         p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--solver", choices=SOLVERS)
         p.add_argument("--Delta", type=float, help="gradient noise level")
         p.add_argument("--delta", type=float, help="value noise level")
-        p.add_argument("--epsilon", type=float, help="target accuracy")
+
+    def add_experiment(p):
+        p.add_argument("--config", help="config file (key = value lines)")
+        p.add_argument("--task", choices=TASKS)
+        add_sizes_and_noise(p)
+        p.add_argument("--iters", help="iteration grid, e.g. 200,400 or 200..1000")
+        p.add_argument("--reps", type=int, help="replications per grid cell")
         p.add_argument("--out", help="output CSV path")
 
-    p_solve = sub.add_parser("solve", help="single run, write the trace CSV")
-    add_common(p_solve)
-    p_table = sub.add_parser("table1", help="iteration-grid benchmark table")
-    add_common(p_table)
+    for name, help_text in (("solve", "single run, write the trace CSV"),
+                            ("table1", "iteration-grid benchmark table")):
+        p = sub.add_parser(name, help=help_text)
+        add_experiment(p)
+        p.add_argument("--solver", choices=SOLVERS)
+        p.add_argument("--epsilon", type=float, help="target accuracy")
     p_cmp = sub.add_parser("compare", help="adaptive vs nonadaptive pairing")
-    add_common(p_cmp)
+    add_experiment(p_cmp)
+    p_cmp.set_defaults(solver="algo2", epsilon=None)  # compare runs algo2 only
     p_check = sub.add_parser("check", help="oracle gradient and noise checks")
-    add_common(p_check)
+    add_sizes_and_noise(p_check)
     return parser
 
 
-def _build_spec(args, *, default_task=None, force_solver=None) -> ExperimentSpec:
+def _build_spec(args, *, default_task=None) -> ExperimentSpec:
     values = {}
     if args.config:
         base = parse_config(args.config)
@@ -99,8 +103,6 @@ def _build_spec(args, *, default_task=None, force_solver=None) -> ExperimentSpec
         if default_task is None:
             raise ConfigError("a task is required (--task or config file)")
         values["task"] = default_task
-    if force_solver is not None:
-        values["solver"] = force_solver
     return ExperimentSpec(**values)
 
 
@@ -138,7 +140,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = _build_spec(args, default_task="pl-quadratic", force_solver="algo2")
+    spec = _build_spec(args, default_task="pl-quadratic")
     table = compare_adaptive_nonadaptive(spec)
     out = args.out or "compare.csv"
     write_csv(table, out)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import (
     CertificateUnavailableError,
-    Evaluation,
     FeasibleSet,
     ModelOracle,
     NonTerminationError,
@@ -37,10 +36,8 @@ from .core import (
 
 __all__ = [
     "ConvexConfig",
-    "ConvexState",
     "ConvexTrace",
     "model_step",
-    "convex_iterate",
     "convex_minimize",
     "certificate_bound",
     "inner_call_budget",
@@ -83,25 +80,6 @@ class ConvexConfig:
             raise ValueError("R must be nonnegative")
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-
-
-@dataclass(slots=True)
-class ConvexState:
-    """Mutable per-run state: the current point and the accumulators of
-    the averaged output, advanced by ``_record`` one accepted step (from
-    ``convex_iterate`` or the restarted method) at a time."""
-
-    x: Vector
-    f_x: float
-    triple: tuple  # (L, delta, Delta) of the last accepted step, or the start values
-    k: int = 0
-    S: float = 0.0
-    weighted_sum: Vector = None
-    total_inner_calls: int = 0
-    noise_sum: float = 0.0  # running sum of (delta_k + Delta_k * step_k) / L_k
-    best_f: float = math.inf
-    best_x: Vector = None
-    anchor: Optional[Evaluation] = None  # the oracle's evaluation at x
 
 
 # the trace's per-step arrays, in the order ``_run`` passes them to ``Recorder.add``
@@ -199,120 +177,60 @@ def _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k):
     return attempt
 
 
-def convex_iterate(
-    state: ConvexState,
-    oracle: ModelOracle,
-    feasible: FeasibleSet,
-    cap: int,
-) -> tuple:
-    """Find the next accepted step from ``state``.
-
-    Halves the triple once, then alternates subproblem solves with
-    acceptance tests through ``backtrack``, doubling the triple after each
-    rejection.  Returns the accepted step (x_next, its evaluation, L,
-    delta, Delta, step length, trials) and leaves ``state`` as it was.
-    The anchor's gradient comes from ``state.anchor`` (the accepted
-    trial's evaluation), which is queried at ``state.x`` when missing.
-    Raises ``NonTerminationError`` when ``cap`` trials pass
-    without acceptance and ``NonFiniteOracleError`` at the first NaN or
-    infinite value or gradient.
-    """
-    k = state.k
-    x_k = state.x
-    f_k = checked_value(state.f_x, k)
-    anchor = state.anchor if state.anchor is not None else oracle.evaluate(x_k)
-    g = checked_gradient(anchor.gradient(), k)
-    L, delta, Delta = state.triple
-    (x_next, trial, _, _, step), L, delta, Delta, inner = backtrack(
-        _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k),
-        0.5 * L,
-        0.5 * delta,
-        0.5 * Delta,
-        math.inf,
-        cap,
-        k,
-    )
-    return x_next, trial, L, delta, Delta, step, inner
-
-
-def _record(state, x_next, trial, L, delta, Delta, step, inner):
-    """Advance ``state`` by the step to ``x_next`` (evaluated as ``trial``),
-    accepted at (L, delta, Delta) after ``inner`` trials."""
-    f_next = trial.value
-    w = 1.0 / L
-    state.S += w
-    state.weighted_sum += w * x_next
-    state.noise_sum += (delta + Delta * step) * w
-    state.total_inner_calls += inner
-    state.k += 1
-    if f_next < state.best_f:
-        state.best_f = f_next
-        state.best_x = x_next
-    state.x = x_next
-    state.f_x = f_next
-    state.anchor = trial
-    state.triple = (L, delta, Delta)
-
-
-def _init_state(config: ConvexConfig, oracle: ModelOracle) -> ConvexState:
-    x0 = config.x0
-    anchor = oracle.evaluate(x0)
-    f0 = anchor.value
-    return ConvexState(
-        x=x0,
-        f_x=f0,
-        triple=(config.L0, config.delta0, config.Delta0),
-        anchor=anchor,
-        weighted_sum=np.zeros_like(x0),
-        best_f=f0,
-        best_x=x0,
-    )
-
-
-def _finalize(
-    state: ConvexState, f0: float, x0: Vector, rec: Recorder, stopped_early: bool
-) -> ConvexTrace:
-    return ConvexTrace(
-        **rec.columns(_COLUMNS),
-        x0=x0,
-        f0=f0,
-        S_N=state.S,
-        x_hat=state.weighted_sum / state.S if state.k else x0,
-        x_final=state.x,
-        total_inner_calls=state.total_inner_calls,
-        best_f=state.best_f,
-        best_x=state.best_x,
-        stopped_early=stopped_early,
-        iterates=rec.iterates,
-    )
-
-
 def convex_minimize(
     config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet
 ) -> ConvexTrace:
     """Run the adaptive method for N iterations (or to the certificate stop).
 
-    The early stop fires only when the online certificate is sound: R and
-    epsilon configured, gamma = 0, and the value inexactness known (zero
-    for exact oracles).
+    Each iteration halves the last accepted triple once, then alternates
+    subproblem solves with acceptance tests through ``backtrack``, doubling
+    the triple after each rejection.  The early stop fires only when the
+    online certificate is sound: R and epsilon configured, gamma = 0, and
+    the value inexactness known (zero for exact oracles).
     """
     cap = config.max_inner_per_iter
-    return _run(
-        config, oracle, feasible, lambda state: convex_iterate(state, oracle, feasible, cap)
-    )
+
+    def advance(k, x, anchor, f, g, triple):
+        L, delta, Delta = triple
+        (x_next, trial, _, _, step), L, delta, Delta, inner = backtrack(
+            _acceptance_attempt(oracle, feasible, x, anchor, g, f, k),
+            0.5 * L,
+            0.5 * delta,
+            0.5 * Delta,
+            math.inf,
+            cap,
+            k,
+        )
+        return x_next, trial, L, delta, Delta, step, inner
+
+    return _run(config, oracle, feasible, advance)
 
 
 def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advance) -> ConvexTrace:
-    """Take up to N steps, each the one ``advance(state)`` returns; book
-    each into the state and, with its certificate, into the recorder, and
-    check the early stop.  A ``NonTerminationError`` leaves with the steps
-    accepted before it as ``partial_trace``.  Shared by algo1 and the
-    restarted method."""
+    """Take up to N steps, book each into the averaged output and, with its
+    certificate, into the recorder, and check the early stop.  Shared by
+    algo1 and the restarted method.
+
+    Step k calls ``advance(k, x, anchor, f, g, triple)``: ``x`` is the
+    current point, ``anchor`` its evaluation, ``f`` and ``g`` its checked
+    value and gradient, and ``triple`` the (L, delta, Delta) of the last
+    accepted step (the configured start values before the first).  It
+    returns the accepted step as (x_next, its evaluation, L, delta, Delta,
+    step length, trials), and that evaluation is the next step's anchor.
+    A ``NonTerminationError`` from it leaves with the steps accepted
+    before it as ``partial_trace``; a NaN or infinite value or gradient
+    raises ``NonFiniteOracleError`` before ``advance`` sees it.
+    """
     if not feasible.contains(config.x0):
         raise ValueError("x0 lies outside the feasible set")
-    state = _init_state(config, oracle)
-    f0 = state.f_x
-    x0 = state.x
+    x0 = x = config.x0
+    anchor = oracle.evaluate(x0)
+    f0 = best_f = anchor.value
+    best_x = x0
+    triple = (config.L0, config.delta0, config.Delta0)
+    S = 0.0
+    weighted_sum = np.zeros_like(x0)
+    noise_sum = 0.0  # running sum of (delta_k + Delta_k * step_k) / L_k
 
     report_delta = 0.0 if oracle.exact_values else oracle.known_delta
     early = (
@@ -324,23 +242,48 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     R_sq = None if config.R is None else config.R**2
     gap = report_delta or 0.0
     stopped_early = False
+    failure = None
     rec = Recorder(x0, config.store_iterates)
-    for _ in range(config.N):
+    for k in range(config.N):
+        f = checked_value(anchor.value, k)
+        g = checked_gradient(anchor.gradient(), k)
         try:
-            x_next, trial, L, delta, Delta, step, trials = advance(state)
+            x, anchor, L, delta, Delta, step, trials = advance(k, x, anchor, f, g, triple)
         except NonTerminationError as err:
-            err.partial_trace = _finalize(state, f0, x0, rec, False)
-            raise
-        _record(state, x_next, trial, L, delta, Delta, step, trials)
-        if R_sq is not None:
-            cert = (R_sq + state.noise_sum) / state.S + gap
-        else:
-            cert = math.nan
-        rec.add(x_next, trial.value, L, delta, Delta, trials, step, cert)
+            failure = err
+            break
+        triple = (L, delta, Delta)
+        f = anchor.value
+        w = 1.0 / L
+        S += w
+        weighted_sum += w * x
+        noise_sum += (delta + Delta * step) * w
+        if f < best_f:
+            best_f = f
+            best_x = x
+        cert = (R_sq + noise_sum) / S + gap if R_sq is not None else math.nan
+        rec.add(x, f, L, delta, Delta, trials, step, cert)
         if early and cert <= config.epsilon:
             stopped_early = True
             break
-    return _finalize(state, f0, x0, rec, stopped_early)
+    columns = rec.columns(_COLUMNS)
+    trace = ConvexTrace(
+        **columns,
+        x0=x0,
+        f0=f0,
+        S_N=S,
+        x_hat=weighted_sum / S if rec.rows else x0,
+        x_final=x,
+        total_inner_calls=int(columns["inner_hist"].sum()),
+        best_f=best_f,
+        best_x=best_x,
+        stopped_early=stopped_early,
+        iterates=rec.iterates,
+    )
+    if failure is not None:
+        failure.partial_trace = trace
+        raise failure
+    return trace
 
 
 def certificate_bound(

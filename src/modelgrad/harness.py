@@ -379,7 +379,6 @@ def _solve(spec: ExperimentSpec, problem, oracle, feasible):
             Delta0=Delta0,
             delta0=delta0,
             N=N,
-            mu=problem.mu,
             Delta_cap=spec.Delta if spec.Delta > 0 else None,
             store_iterates=False,
         )
@@ -519,7 +518,6 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
                 Delta0=spec.Delta,
                 delta0=spec.delta,
                 N=N,
-                mu=problem.mu,
                 Delta_cap=cap,
                 store_iterates=False,
                 adapt_Delta=adapt,

@@ -22,22 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    Evaluation,
-    FeasibleSet,
-    ModelOracle,
-    NonTerminationError,
-    Vector,
-    backtrack,
-    checked_gradient,
-    checked_value,
-)
-from .convex import (
-    ConvexConfig,
-    _acceptance_attempt,
-    _run,
-    _trial,
-)
+from .core import FeasibleSet, ModelOracle, NonTerminationError, backtrack
+from .convex import ConvexConfig, _acceptance_attempt, _run, _trial
 
 __all__ = [
     "NonsmoothConfig",
@@ -126,70 +112,14 @@ def complexity_estimate(L: float, R: float, Delta: float, epsilon: float) -> int
     return math.ceil(iters * factor)
 
 
-def _restart_step(
-    oracle: ModelOracle,
-    feasible: FeasibleSet,
-    x_k: Vector,
-    anchor: Evaluation,
-    L_start: float,
-    Delta_fixed: float,
-    epsilon: float,
-    p_cap: int,
-    L_class: Optional[float],
-    k: int,
-    inner_cap: int,
-):
-    """One outer iteration: bootstrap acceptance, then fixed-Delta doubling.
-
-    ``anchor`` is the oracle's evaluation at ``x_k``.  Returns (x_next, its
-    evaluation, step, L_final, p_used, reason, trials).
-    """
-    f_k = checked_value(anchor.value, k)
-    g = checked_gradient(anchor.gradient(), k)
-
-    # Phase 1: plain acceptance at the frozen Delta; identical trial
-    # sequence to the convex solver when Delta_fixed = 0.
-    (x_next, trial, psi, sq, step), L, _, _, trials = backtrack(
-        _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k),
-        L_start,
-        0.0,
-        Delta_fixed,
-        Delta_fixed,
-        inner_cap,
-        k,
-    )
-
-    # Phase 2: keep Delta frozen, double L until one of the two exits.
-    # With no supplied class constant the smooth threshold anchors at the
-    # bootstrapped L, so a smooth exit certifies the step at the current L
-    # with no inexactness contribution at all.
-    L_ref = L_class if L_class is not None else L
-    p = 0
-    while True:
-        if Delta_fixed * step <= 0.5 * epsilon:
-            return x_next, trial, step, L, p, STOP_DELTA_TERM, trials
-        if trial.value <= f_k + psi + (2.0**p) * L_ref * (0.5 * sq):
-            return x_next, trial, step, L, p, STOP_SMOOTH, trials
-        p += 1
-        if p > p_cap:
-            raise NonTerminationError(
-                f"neither stopping rule fired within {p_cap} doublings"
-                f" at iteration {k} (L reached {L})",
-                k,
-                None,
-                p_cap,
-            )
-        L *= 2.0
-        trials += 1
-        x_next, trial, psi, sq, step = _trial(oracle, feasible, x_k, anchor, g, L, k)
-
-
 def nonsmooth_minimize(
     config: NonsmoothConfig, oracle: ModelOracle, feasible: FeasibleSet
 ):
     """Run the restarted method; returns (ConvexTrace, list of RestartRecord).
 
-    Requires exact values and a tight lower model (gamma = 0).  Inexactness
+    Each outer iteration bootstraps a plainly accepted step, then doubles L
+    at frozen Delta until one of the two exits fires.  Requires exact
+    values and a tight lower model (gamma = 0).  Inexactness
     bookkeeping per iteration: a delta-term exit contributes
     Delta_known * step to the certificate numerator (at most epsilon/2), a
     smooth exit contributes nothing.
@@ -199,24 +129,47 @@ def nonsmooth_minimize(
     if oracle.gamma != 0:
         raise ValueError("the restarted method requires a tight lower model")
     records = []
+    Delta_fixed = config.Delta_known
 
-    def restart(state):
-        k = state.k
-        x_next, trial, step, L, p_used, reason, trials = _restart_step(
-            oracle,
-            feasible,
-            state.x,
-            state.anchor,
-            0.5 * state.triple[0],
-            config.Delta_known,
-            config.epsilon,
-            config.p_cap,
-            config.L_class,
-            k,
+    def restart(k, x, anchor, f, g, triple):
+        # Phase 1: plain acceptance at the frozen Delta; identical trial
+        # sequence to the convex solver when Delta_fixed = 0.
+        (x_next, trial, psi, sq, step), L, _, _, trials = backtrack(
+            _acceptance_attempt(oracle, feasible, x, anchor, g, f, k),
+            0.5 * triple[0],
+            0.0,
+            Delta_fixed,
+            Delta_fixed,
             config.base.max_inner_per_iter,
+            k,
         )
-        records.append(RestartRecord(k, p_used, reason, L))  # keywords would double its cost
-        Delta_eff = config.Delta_known if reason == STOP_DELTA_TERM else 0.0
-        return x_next, trial, L, 0.0, Delta_eff, step, trials
+
+        # Phase 2: keep Delta frozen, double L until one of the two exits.
+        # With no supplied class constant the smooth threshold anchors at the
+        # bootstrapped L, so a smooth exit certifies the step at the current L
+        # with no inexactness contribution at all.
+        # A RestartRecord takes its fields positionally: keywords would
+        # double its cost.
+        L_ref = L if config.L_class is None else config.L_class
+        p = 0
+        while True:
+            if Delta_fixed * step <= 0.5 * config.epsilon:
+                records.append(RestartRecord(k, p, STOP_DELTA_TERM, L))
+                return x_next, trial, L, 0.0, Delta_fixed, step, trials
+            if trial.value <= f + psi + (2.0**p) * L_ref * (0.5 * sq):
+                records.append(RestartRecord(k, p, STOP_SMOOTH, L))
+                return x_next, trial, L, 0.0, 0.0, step, trials
+            p += 1
+            if p > config.p_cap:
+                raise NonTerminationError(
+                    f"neither stopping rule fired within {config.p_cap} doublings"
+                    f" at iteration {k} (L reached {L})",
+                    k,
+                    None,
+                    config.p_cap,
+                )
+            L *= 2.0
+            trials += 1
+            x_next, trial, psi, sq, step = _trial(oracle, feasible, x, anchor, g, L, k)
 
     return _run(config.base, oracle, feasible, restart), records

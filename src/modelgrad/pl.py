@@ -14,7 +14,6 @@ Delta, since no descent direction can then be certified.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -27,6 +26,7 @@ from .core import (
     NonTerminationError,
     Recorder,
     Trace,
+    UnsupportedCombinationError,
     Vector,
     _acceptance_rhs,
     as_vector,
@@ -51,8 +51,6 @@ __all__ = [
     "pl_dichotomy_check",
     "pl_inexact_floor",
 ]
-
-logger = logging.getLogger(__name__)
 
 TERM_COMPLETED = "completed-N"
 TERM_FLOOR = "small-gradient-floor"
@@ -79,7 +77,6 @@ class PLConfig:
     Delta0: float = 0.0
     delta0: float = 0.0
     N: int = 100
-    mu: Optional[float] = None
     Delta_cap: Optional[float] = None
     max_inner_per_iter: int = 100
     store_iterates: bool = True
@@ -94,18 +91,6 @@ class PLConfig:
             raise ValueError("delta0 and Delta0 must be nonnegative and finite")
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.mu is not None:
-            if not self.mu > 0:
-                raise ValueError("mu must be positive when given")
-            if 2.0 * self.mu > self.L0:
-                # not an error: the line search raises the working constant
-                # on its own, the rate bound re-validates per iteration
-                logger.info(
-                    "L0 = %g is below 2*mu = %g; the working constant will "
-                    "be raised by the acceptance test as needed",
-                    self.L0,
-                    2.0 * self.mu,
-                )
         if self.Delta_cap is not None and not self.Delta_cap >= 0:
             raise ValueError("Delta_cap must be nonnegative when given")
         if self.max_inner_per_iter < 1:
@@ -173,8 +158,11 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     Each point is evaluated once: the accepted trial's evaluation gives the
     next iteration's gradient.  The run stops at the floor as soon as the
     gradient-error estimate reaches the observed gradient norm, even when
-    that happens on the growth after the trial cap's last rejection.
+    that happens on the growth after the trial cap's last rejection.  The
+    damped step has no composite part, so an oracle with one is refused.
     """
+    if oracle.has_composite:
+        raise UnsupportedCombinationError("algo2 does not take a composite part")
     x = config.x0
     ev = oracle.evaluate(x)
     f_x = ev.value

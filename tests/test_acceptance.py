@@ -196,7 +196,7 @@ def test_05_exact_gradient_linear_rate():
     for i, prob in enumerate(runs):
         x0 = np.array([1.5, 0.7]) if i == len(runs) - 1 else np.zeros(16)
         cfg = PLConfig(
-            x0=x0, L0=2.0 * prob.L, N=200, mu=prob.mu,
+            x0=x0, L0=2.0 * prob.L, N=200,
             store_iterates=False,
         )
         tr = pl_minimize(cfg, prob.oracle())
@@ -228,7 +228,7 @@ def test_06_noisy_gradient_dichotomy():
             gap0 = prob.value(np.zeros(12)) - prob.f_star
             cfg = PLConfig(
                 x0=np.zeros(12), L0=2.0 * prob.L, Delta0=Delta, N=N,
-                mu=prob.mu, Delta_cap=Delta,
+                Delta_cap=Delta,
                 store_iterates=False, adapt_Delta=False,
             )
             tr = pl_minimize(cfg, noisy)
@@ -296,7 +296,7 @@ def test_08_per_step_decrease_is_quantitative():
             else prob.oracle()
         )
         cfg = PLConfig(
-            x0=np.zeros(12), L0=2.0 * prob.L, Delta0=Delta, N=100, mu=prob.mu,
+            x0=np.zeros(12), L0=2.0 * prob.L, Delta0=Delta, N=100,
             Delta_cap=Delta if Delta else None,
             store_iterates=False,
         )

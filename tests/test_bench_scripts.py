@@ -18,7 +18,7 @@ def test_bench_kernels_runs_at_a_tiny_size():
     ).stdout
     for row in ("ballsum_value", "minmax_value", "ballsum sweep", "minmax sweep",
                 "model_step projected", "project inside, off 0",
-                "oracle.evaluate", "problem.evaluate", "_record",
+                "oracle.evaluate", "problem.evaluate", "Recorder.add",
                 "A.dot(x), off 16", "A.dot(x), off 0",
                 "A.T.dot(r), off 16", "A.T.dot(r), off 0"):
         assert row in out

@@ -20,7 +20,7 @@ from modelgrad.core import (
     norm,
     project_ball,
 )
-from modelgrad.convex import ConvexConfig, convex_minimize
+from modelgrad.convex import ConvexConfig, ConvexTrace, convex_minimize
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from modelgrad.pl import PLConfig, pl_minimize
 
@@ -259,6 +259,11 @@ class TestBacktrack:
         assert (partial.f_values[0], partial.L_hist[0], partial.step_norms[0]) == (0.125, 2.0, 0.5)
         np.testing.assert_array_equal(partial.x_final, [0.5, 0.0])
         np.testing.assert_array_equal(partial.iterates[1], [0.5, 0.0])
+        if isinstance(partial, ConvexTrace):  # algo1 and nonsmooth average their iterates
+            np.testing.assert_array_equal(partial.x_hat, [0.5, 0.0])
+            np.testing.assert_array_equal(partial.best_x, [0.5, 0.0])
+            assert (partial.best_f, partial.S_N, partial.total_inner_calls) == (0.125, 0.5, 1)
+            assert type(partial.total_inner_calls) is int
         _assert_one_row_per_step(partial)
 
 

@@ -379,6 +379,20 @@ class TestCLI:
         assert "supports solvers ('nonsmooth', 'algo1')" in capsys.readouterr().err
         assert not out.exists()
 
+    # each subcommand takes only the flags it reads: check builds no spec,
+    # and compare always runs algo2 with no certificate stop
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--task", "task1"], ["compare", "--solver", "algo1"],
+         ["compare", "--epsilon", "0.1"]],
+        ids=["check --task", "compare --solver", "compare --epsilon"],
+    )
+    def test_subcommand_refuses_a_flag_it_would_ignore(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
     def test_compare_smoke(self, tmp_path):
         out = tmp_path / "cmp.csv"
         rc = main(

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from modelgrad.convex import ConvexConfig, convex_minimize
 from modelgrad.core import (
+    FeasibleSet,
     FunctionOracle,
     InconsistentTraceError,
     NonFiniteOracleError,
     NonTerminationError,
+    UnsupportedCombinationError,
 )
 from modelgrad.pl import (
     TERM_COMPLETED,
@@ -22,7 +25,7 @@ from modelgrad.pl import (
     pl_rate_bound_nonadaptive,
     pl_step_size,
 )
-from modelgrad.problems import NoisyOracle, pl_quadratic_make
+from modelgrad.problems import L1Penalty, NoisyOracle, composite_oracle, pl_quadratic_make
 
 
 def quadratic_oracle():
@@ -106,7 +109,7 @@ class TestMinimize:
 
     def test_exact_run_is_monotone_and_meets_rate_bound(self):
         prob = make_problem(1)
-        config = PLConfig(x0=np.zeros(5), L0=1.0, N=60, mu=prob.mu)
+        config = PLConfig(x0=np.zeros(5), L0=1.0, N=60)
         trace = pl_minimize(config, prob.oracle())
         values = np.concatenate(([trace.f0], trace.f_values))
         assert np.all(np.diff(values) <= 0.0)
@@ -192,6 +195,21 @@ class TestMinimize:
             pl_minimize(config, oracle)
         assert info.value.inner_calls == 4
 
+    def test_refuses_a_composite_oracle(self):
+        # F(x) = ||x - (3, 0)||^2/2 + ||x||_1: algo2's damped step has no
+        # prox, and it used to run as if the l1 term were not there, ending
+        # at (1, 0) with F = 3.0; algo1 reaches the minimum F = 2.5 at (2, 0)
+        c = np.array([3.0, 0.0])
+        smooth = FunctionOracle(lambda x: 0.5 * float((x - c) @ (x - c)), lambda x: x - c)
+        oracle = composite_oracle(smooth.evaluate, L1Penalty(1.0))
+        with pytest.raises(UnsupportedCombinationError):
+            pl_minimize(PLConfig(x0=np.zeros(2), N=200), oracle)
+        trace = convex_minimize(
+            ConvexConfig(x0=np.zeros(2), N=200), oracle, FeasibleSet.whole_space()
+        )
+        assert trace.best_f == 2.5
+        np.testing.assert_array_equal(trace.best_x, [2.0, 0.0])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), L0=0.0)
@@ -199,8 +217,6 @@ class TestMinimize:
             PLConfig(x0=np.zeros(2), Delta0=-0.1)
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), N=0)
-        with pytest.raises(ValueError):
-            PLConfig(x0=np.zeros(2), mu=-1.0)
         with pytest.raises(ValueError):
             PLConfig(x0=np.zeros(2), Delta_cap=-0.5)
 
