@@ -7,7 +7,9 @@ difference matrix, at the sizes of the paper's protocols and beyond.
 Then times the layers one solver trial runs through, on task1's geometry:
 the distance sweep each evaluation makes (task1's ball sum, task2's
 min-max), the model step with its projection onto the unit ball at the
-origin (a step that stays inside and one that is projected), the inside
+origin (a step that stays inside and one that is projected), the check
+and evaluation ``core._trial`` makes of each of those two steps' points
+(the solvers' one trial function, without the model step), the inside
 test of that projection alone and of one on a ball off the origin, one
 evaluation through the oracle the solvers query and one through the
 public ``problem.evaluate``, which checks its point, and the row an
@@ -85,12 +87,17 @@ def trial_path_cases(centers, x, rng):
     g_out = rng.standard_normal(n)  # a step of length 2 leaves the unit ball
     g_out *= 2.0 / np.linalg.norm(g_out)
     L_in = 4.0 * np.linalg.norm(g)  # a step of length 1/4 stays inside
+    anchor = oracle.evaluate(x)
+    y_in = convex.model_step(oracle, feasible, x, L_in, g)
+    y_out = convex.model_step(oracle, feasible, x, 1.0, g_out)
     rec = core.Recorder(x, False)
     return (
         ("ballsum sweep", lambda: ballsum_sweep(centers, x, 1.0, sqnorms)),
         ("minmax sweep", lambda: kernels.minmax_value(centers, x, minmax.sqnorms)),
         ("model_step inside", lambda: convex.model_step(oracle, feasible, x, L_in, g)),
         ("model_step projected", lambda: convex.model_step(oracle, feasible, x, 1.0, g_out)),
+        ("core._trial inside", lambda: core._trial(oracle, x, anchor, g, y_in, 0)),
+        ("core._trial projected", lambda: core._trial(oracle, x, anchor, g_out, y_out, 0)),
         ("project inside", lambda: feasible.project(x)),
         ("project inside, off 0", lambda: off_origin.project(x)),
         ("oracle.evaluate", lambda: oracle.evaluate(x)),

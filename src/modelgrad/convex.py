@@ -27,10 +27,11 @@ from .core import (
     Trace,
     Vector,
     _acceptance_rhs,
+    _check_run,
+    _trial,
     as_vector,
     backtrack,
     checked_gradient,
-    checked_trial_point,
     checked_value,
 )
 
@@ -65,17 +66,7 @@ class ConvexConfig:
     store_iterates: bool = True
 
     def __post_init__(self):
-        # a private copy: a later write into the caller's array must not
-        # reach the trace's x0, iterates[0] or best_x
-        object.__setattr__(self, "x0", as_vector(self.x0).copy())
-        if not (self.L0 > 0 and np.isfinite(self.L0)):
-            raise ValueError("L0 must be positive and finite")
-        if not (0 <= self.delta0 < math.inf and 0 <= self.Delta0 < math.inf):
-            raise ValueError("delta0 and Delta0 must be nonnegative and finite")
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if self.max_inner_per_iter < 1:
-            raise ValueError("max_inner_per_iter must be at least 1")
+        _check_run(self)
         if self.R is not None and not self.R >= 0:
             raise ValueError("R must be nonnegative")
         if self.epsilon is not None and not self.epsilon > 0:
@@ -94,11 +85,11 @@ class ConvexTrace(Trace):
 
     ``cert_hist[k]`` is the online certificate after step k, (R^2 + sum of
     (delta_i + Delta_i * step_i) / L_i) / S plus the oracle's known value
-    gap; NaN without ``R``.  It bounds f(x_hat) - f* only for an oracle with
-    gamma = 0.  For gamma > 0 (injected gradient noise) the bound also has
-    a gamma * ||x_i - x*|| / L_i term per step, which needs the minimizer;
-    the certificate leaves it out, so it is no bound there.
-    ``certificate_bound`` adds it, given x*.
+    gap; NaN without ``R``.  For gamma > 0 (injected gradient noise) the
+    bound also has a gamma * ||x_i - x*|| / L_i term per step.  On a ball
+    the certificate bounds it by gamma * diam(Q), twice gamma times the
+    radius, so it stays a bound, if a loose one; on the whole space it is
+    NaN.  ``certificate_bound`` gives the tight version, given x*.
     """
 
     step_norms: np.ndarray
@@ -138,40 +129,16 @@ def model_step(
     return feasible.project(v)
 
 
-def _trial(oracle, feasible, x_k, anchor, g, L, k):
-    """Take the model step at ``L`` from the anchor ``x_k`` and evaluate it.
-
-    Returns (x_next, its evaluation, psi(x_next, x_k), squared step length,
-    step length).  psi(x_next, x_k) = <g, x_next - x_k> + h(x_next) - h(x_k),
-    the linear-plus-composite model, is computed here and nowhere else, from
-    the anchor gradient ``g`` and the composite parts of the two
-    evaluations.  This is where trial points are checked: a non-finite
-    one makes the squared step from the finite anchor non-finite too, and
-    raises ``NonFiniteTrialPointError`` before the oracle sees it.
-    """
-    x_next = model_step(oracle, feasible, x_k, L, g)
-    d = x_next - x_k
-    sq = float(d.dot(d))
-    if not math.isfinite(sq):
-        checked_trial_point(x_next, k)
-    trial = oracle.evaluate(x_next)
-    checked_value(trial.value, k)
-    psi = float(g.dot(d))
-    if oracle.has_composite:
-        psi += trial.h - anchor.h
-    return x_next, trial, psi, sq, math.sqrt(sq)
-
-
 def _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k):
     """The trial ``backtrack`` makes for algo1 and restart phase 1: the
-    model step at L, kept (as ``_trial``'s tuple) when it passes the
-    acceptance inequality at (L, delta, Delta)."""
+    model step at L, kept as (x_next, its evaluation, psi, squared step,
+    step) when it passes the acceptance inequality at (L, delta, Delta)."""
 
     def attempt(L, delta, Delta):
-        result = _trial(oracle, feasible, x_k, anchor, g, L, k)
-        _, trial, psi, sq, step = result
+        x_next = model_step(oracle, feasible, x_k, L, g)
+        trial, psi, sq, step = _trial(oracle, x_k, anchor, g, x_next, k)
         if trial.value <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta, delta):
-            return result
+            return x_next, trial, psi, sq, step
         return None
 
     return attempt
@@ -241,6 +208,8 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     )
     R_sq = None if config.R is None else config.R**2
     gap = report_delta or 0.0
+    if oracle.gamma > 0:  # gamma * ||x_k - x*|| is at most gamma * diam(Q)
+        gap = (gap + oracle.gamma * 2.0 * feasible.radius) if feasible.radius else math.nan
     stopped_early = False
     failure = None
     rec = Recorder(x0, config.store_iterates)

@@ -282,6 +282,45 @@ def _onto_sphere(d: Vector, dist: float, center: Vector, radius: float) -> Vecto
     return d
 
 
+def _check_run(config) -> None:
+    """The checks ``ConvexConfig`` and ``PLConfig`` share.  x0 becomes a
+    private copy: a later write into the caller's array must not reach the
+    trace's x0, iterates[0] or best_x."""
+    object.__setattr__(config, "x0", as_vector(config.x0).copy())
+    if not (config.L0 > 0 and np.isfinite(config.L0)):
+        raise ValueError("L0 must be positive and finite")
+    if not (0 <= config.delta0 < math.inf and 0 <= config.Delta0 < math.inf):
+        raise ValueError("delta0 and Delta0 must be nonnegative and finite")
+    if config.N < 1:
+        raise ValueError("N must be at least 1")
+    if config.max_inner_per_iter < 1:
+        raise ValueError("max_inner_per_iter must be at least 1")
+
+
+def _trial(oracle, x_k, anchor, g, x_next, k):
+    """Check and evaluate the trial point ``x_next`` the solver formed from
+    the anchor ``x_k``, whose evaluation is ``anchor`` and gradient ``g``.
+
+    Returns (the evaluation of x_next, psi(x_next, x_k), squared step
+    length, step length).  psi(x_next, x_k) = <g, x_next - x_k> + h(x_next)
+    - h(x_k), the linear-plus-composite model, is computed here and nowhere
+    else.  This is where every solver's trial points are checked: a
+    non-finite one makes the squared step from the finite anchor non-finite
+    too, and raises ``NonFiniteTrialPointError`` before the oracle sees it;
+    a non-finite value raises ``NonFiniteOracleError``.
+    """
+    d = x_next - x_k
+    sq = float(d.dot(d))
+    if not math.isfinite(sq):
+        checked_trial_point(x_next, k)
+    trial = oracle.evaluate(x_next)
+    checked_value(trial.value, k)
+    psi = float(g.dot(d))
+    if oracle.has_composite:
+        psi += trial.h - anchor.h
+    return trial, psi, sq, math.sqrt(sq)
+
+
 def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
     """Right side f(x) + psi + L V + Delta ||x+ - x|| + delta of the
     acceptance inequality, spelled once so that the three solvers compare

@@ -4,8 +4,9 @@ The benchmark protocol runs a solver over a grid of iteration budgets with
 several replications per cell, averaging a per-run accuracy estimate.  For
 the two geometric tasks the estimate is the online certificate of the
 averaged output, which the restarted nonsmooth solver keeps decaying like
-1/N.  It bounds f(x_hat) - f* for exact gradients, but not under injected
-gradient noise (see ``ConvexTrace``); the raw objective values and the
+1/N.  It bounds f(x_hat) - f*; under injected gradient noise it adds the
+noise level times the diameter of the unit ball, a loose bound (see
+``ConvexTrace``).  The raw objective values and the
 best-value-minus-lower-bound gap are carried alongside so either reading
 of solution quality can be inspected.
 """
@@ -368,8 +369,9 @@ def _working_levels(spec: ExperimentSpec) -> tuple:
     )
 
 
-def _solve(spec: ExperimentSpec, problem, oracle, feasible):
-    """Run the configured solver; returns (trace, restart records or None)."""
+def _solve(spec: ExperimentSpec, problem, oracle, feasible, frozen: bool = False):
+    """Run the configured solver; returns (trace, restart records or None).
+    ``frozen`` freezes algo2's gradient-error estimate at its start value."""
     N = max(spec.iteration_grid)
     delta0, Delta0 = _working_levels(spec)
     if spec.solver == "algo2":
@@ -381,6 +383,7 @@ def _solve(spec: ExperimentSpec, problem, oracle, feasible):
             N=N,
             Delta_cap=spec.Delta if spec.Delta > 0 else None,
             store_iterates=False,
+            adapt_Delta=not frozen,
         )
         return pl_minimize(cfg, oracle), None
     algo1 = spec.solver == "algo1"
@@ -495,37 +498,28 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
 
     Both contraction products are evaluated on the adaptive trace (the
     adaptive one also on its own recorded estimates), so the comparison
-    isolates what adapting the error estimate buys at equal data.
+    isolates what adapting the error estimate buys at equal data.  Both
+    runs start their estimate at ``Delta`` and have no certificate stop, so
+    a spec that sets ``epsilon``, ``Delta0`` or ``delta0`` is refused.
     """
     if spec.solver != "algo2":
         raise ValueError("the comparison protocol is defined for solver algo2")
+    for name in ("epsilon", "Delta0", "delta0"):
+        if getattr(spec, name):  # unset is None or zero
+            raise ValueError(f"compare does not read {name}; leave it unset")
     seeds = _rep_seeds(spec)
     grid = spec.iteration_grid
-    N = max(grid)
     est = np.zeros((spec.replications, len(grid)))
     times = np.zeros_like(est)
     a_bounds, na_bounds, a_gaps, na_gaps, factor_traces = [], [], [], [], []
 
     for r, rep_seed in enumerate(seeds):
         problem = _quadratic_problem(spec, rep_seed)
-        cap = spec.Delta if spec.Delta > 0 else None
-
-        def _run(adapt: bool):
-            oracle = _maybe_noisy(problem.oracle(), spec, rep_seed + 1)
-            cfg = PLConfig(
-                x0=np.zeros(spec.n),
-                L0=spec.L0,
-                Delta0=spec.Delta,
-                delta0=spec.delta,
-                N=N,
-                Delta_cap=cap,
-                store_iterates=False,
-                adapt_Delta=adapt,
-            )
-            return pl_minimize(cfg, oracle)
-
-        tr_a = _run(True)
-        tr_na = _run(False)
+        tr_a, tr_na = (
+            _solve(spec, problem, _maybe_noisy(problem.oracle(), spec, rep_seed + 1), None,
+                   frozen)[0]
+            for frozen in (False, True)
+        )
         bound_a = pl_rate_bound(tr_a, problem.mu, spec.Delta)
         bound_na = pl_rate_bound_nonadaptive(tr_a, problem.mu, spec.Delta)
         a_bounds.append(bound_a)

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ModelOracle, NonTerminationError, backtrack
-from .convex import ConvexConfig, _acceptance_attempt, _run, _trial
+from .core import FeasibleSet, ModelOracle, NonTerminationError, _trial, backtrack
+from .convex import ConvexConfig, _acceptance_attempt, _run, model_step
 
 __all__ = [
     "NonsmoothConfig",
@@ -170,6 +170,7 @@ def nonsmooth_minimize(
                 )
             L *= 2.0
             trials += 1
-            x_next, trial, psi, sq, step = _trial(oracle, feasible, x, anchor, g, L, k)
+            x_next = model_step(oracle, feasible, x, L, g)
+            trial, psi, sq, step = _trial(oracle, x, anchor, g, x_next, k)
 
     return _run(config.base, oracle, feasible, restart), records

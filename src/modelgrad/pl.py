@@ -29,10 +29,10 @@ from .core import (
     UnsupportedCombinationError,
     Vector,
     _acceptance_rhs,
-    as_vector,
+    _check_run,
+    _trial,
     backtrack,
     checked_gradient,
-    checked_trial_point,
     checked_value,
     norm,
 )
@@ -83,18 +83,9 @@ class PLConfig:
     adapt_Delta: bool = True
 
     def __post_init__(self):
-        # a private copy, as in ConvexConfig: no later caller write reaches it
-        object.__setattr__(self, "x0", as_vector(self.x0).copy())
-        if not (self.L0 > 0 and np.isfinite(self.L0)):
-            raise ValueError("L0 must be positive and finite")
-        if not (0 <= self.delta0 < math.inf and 0 <= self.Delta0 < math.inf):
-            raise ValueError("delta0 and Delta0 must be nonnegative and finite")
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
+        _check_run(self)
         if self.Delta_cap is not None and not self.Delta_cap >= 0:
             raise ValueError("Delta_cap must be nonnegative when given")
-        if self.max_inner_per_iter < 1:
-            raise ValueError("max_inner_per_iter must be at least 1")
 
 
 # the trace's per-step arrays, in the order ``pl_minimize`` passes them to ``Recorder.add``
@@ -191,18 +182,12 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         )
 
     def attempt(L, delta, Delta):
-        # reads x, g_vec, gn, f_x and k of the current iteration
+        # reads x, ev, g_vec, gn, f_x and k of the current iteration
         h = pl_step_size(L, Delta, gn)
         x_next = g_vec * -h
         x_next += x  # x - h*g bitwise, as in convex.model_step
-        d = x_next - x
-        sq = float(d.dot(d))
-        if not math.isfinite(sq):
-            checked_trial_point(x_next, k)
-        trial = oracle.evaluate(x_next)
-        f_next = checked_value(trial.value, k)
-        lin = float(g_vec.dot(d))
-        if f_next <= _acceptance_rhs(f_x, lin, L, 0.5 * sq, math.sqrt(sq), Delta, delta):
+        trial, psi, sq, step = _trial(oracle, x, ev, g_vec, x_next, k)
+        if trial.value <= _acceptance_rhs(f_x, psi, L, 0.5 * sq, step, Delta, delta):
             return x_next, trial, h
         if gn <= min(2.0 * Delta, Delta_max):  # the Delta backtrack would try next
             return TERM_FLOOR

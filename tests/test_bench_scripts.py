@@ -17,7 +17,8 @@ def test_bench_kernels_runs_at_a_tiny_size():
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     for row in ("ballsum_value", "minmax_value", "ballsum sweep", "minmax sweep",
-                "model_step projected", "project inside, off 0",
+                "model_step projected", "core._trial inside", "core._trial projected",
+                "project inside, off 0",
                 "oracle.evaluate", "problem.evaluate", "Recorder.add",
                 "A.dot(x), off 16", "A.dot(x), off 0",
                 "A.T.dot(r), off 16", "A.T.dot(r), off 0"):

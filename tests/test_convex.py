@@ -288,13 +288,30 @@ class TestCertificate:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((7, 5))
         prob = pl_quadratic_make(A, rng.standard_normal(7))
-        noisy = NoisyOracle(prob.oracle(), Delta=0.05, delta=0.02, seed=8)
+        noisy = NoisyOracle(prob.oracle(), Delta=0.0, delta=0.02, seed=8)
         config = ConvexConfig(
             x0=np.zeros(5), L0=1.0, delta0=0.02, Delta0=0.05, N=25, R=2.0
         )
         trace = convex_minimize(config, noisy, WHOLE)
         posterior = certificate_bound(trace, R=2.0, delta=0.02)
         assert trace.cert_hist[-1] == pytest.approx(posterior, rel=1e-12)
+
+    @pytest.mark.parametrize("Delta", [0.1, 0.5])
+    def test_noisy_certificate_bounds_the_gap_or_is_nan(self, Delta):
+        # the noisy gradient x + Delta e1 vanishes at -Delta e1, not at x* = 0:
+        # the iterates settle there, every trial passes and S_N grows like
+        # 2^N, so without the gamma term the certificate fell to about 1e-120
+        # against a true gap of Delta^2 / 2
+        e1 = np.eye(5)[0]
+        noisy = NoisyOracle(
+            quadratic_oracle(), Delta=Delta, mode="adversarial-fixed-direction", direction=e1
+        )
+        config = ConvexConfig(x0=e1, Delta0=Delta, N=400, R=np.sqrt(0.5))
+        ball = convex_minimize(config, noisy, FeasibleSet.ball(np.zeros(5), 1.0))
+        gap = 0.5 * float(ball.x_hat @ ball.x_hat)
+        assert gap > 0.5 * Delta**2 * 0.99
+        assert ball.cert_hist[-1] >= gap
+        assert np.isnan(convex_minimize(config, noisy, WHOLE).cert_hist).all()
 
 
 class TestInnerCallBudget:

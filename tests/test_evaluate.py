@@ -5,17 +5,20 @@ problem's separate value and (sub)gradient methods give, in the same noise
 draw order, and each point must be swept (or its residual computed) once.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelgrad import harness, kernels, problems
 from modelgrad.convex import ConvexConfig, convex_minimize, model_step
-from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle
+from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle, norm
 from modelgrad.harness import ExperimentSpec
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from modelgrad.pl import PLConfig, pl_minimize
+from modelgrad.pl import TERM_COMPLETED, PLConfig, pl_minimize, pl_step_size
 from modelgrad.problems import (
     L1Penalty,
     NoisyOracle,
@@ -129,28 +132,64 @@ def test_fused_evaluation_gives_bitwise_equal_traces(kind, solver, mode):
     _assert_traces_equal(trace, _run(solver, reference, feasible, mode is not None))
 
 
-def test_composite_decisions_match_the_oracle_model():
-    """Replayed with psi(y, x) = <g(x), y - x> + h(y) - h(x), every accepted
-    step passes the acceptance inequality and every trial before it fails."""
-    oracle = _problem("composite")[0]()
-    trace = convex_minimize(ConvexConfig(x0=np.zeros(N_DIM), N=30), oracle, WHOLE)
+def _least_squares(seed, m):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, N_DIM)), rng.standard_normal(m)
+
+
+def _passes(oracle, x, y, L, delta, Delta):
+    """Whether the step from x to y passes the acceptance inequality at
+    (L, delta, Delta), rebuilt with psi(y, x) = <g(x), y - x> + h(y) - h(x)."""
+    anchor, trial = oracle.evaluate(x), oracle.evaluate(y)
+    d = y - x
+    sq = float(np.dot(d, d))
+    psi = float(np.dot(anchor.gradient(), d)) + (trial.h - anchor.h)
+    return trial.value <= anchor.value + psi + L * (0.5 * sq) + Delta * math.sqrt(sq) + delta
+
+
+def _assert_decisions_replay(oracle, trace, step):
+    """Every accepted step of ``trace`` passes the inequality at its recorded
+    (L, delta, Delta), and every earlier trial, ``step(x, L, Delta, g)`` at
+    the halved constants, fails it."""
     assert trace.inner_hist.max() > 1
-
-    def accepted(x, y, L, delta, Delta):
-        anchor, trial = oracle.evaluate(x), oracle.evaluate(y)
-        d = y - x
-        sq = float(np.dot(d, d))
-        psi = float(np.dot(anchor.gradient(), d)) + (trial.h - anchor.h)
-        return trial.value <= anchor.value + psi + L * (0.5 * sq) + Delta * math.sqrt(sq) + delta
-
     for k in range(trace.N_run):
         x_k, x_next = trace.iterates[k], trace.iterates[k + 1]
         L, delta, Delta = trace.L_hist[k], trace.delta_hist[k], trace.Delta_hist[k]
-        assert accepted(x_k, x_next, L, delta, Delta)
+        assert _passes(oracle, x_k, x_next, L, delta, Delta)
         g = oracle.evaluate(x_k).gradient()
         for _ in range(int(trace.inner_hist[k]) - 1):
             L, delta, Delta = 0.5 * L, 0.5 * delta, 0.5 * Delta
-            assert not accepted(x_k, model_step(oracle, WHOLE, x_k, L, g), L, delta, Delta)
+            assert not _passes(oracle, x_k, step(x_k, L, Delta, g), L, delta, Delta)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([None, 0.05, 0.5]))
+@settings(max_examples=30, deadline=None)
+def test_composite_decisions_match_the_oracle_model(seed, m, radius):
+    """algo1's model step with an l1 part, on seeded least-squares problems,
+    on the whole space and on balls that cut the path short."""
+    A, b = _least_squares(seed, m)
+    oracle = composite_oracle(functools.partial(least_squares, A, b), L1Penalty(0.1))
+    feasible = WHOLE if radius is None else FeasibleSet.ball(np.zeros(N_DIM), radius)
+    trace = convex_minimize(ConvexConfig(x0=np.zeros(N_DIM), N=30), oracle, feasible)
+    _assert_decisions_replay(
+        oracle, trace, lambda x, L, Delta, g: model_step(oracle, feasible, x, L, g)
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+@settings(max_examples=30, deadline=None)
+def test_damped_decisions_match_the_oracle_model(seed, m):
+    """algo2's damped step x - h g with an exact oracle, where psi = <g, d>."""
+    oracle = pl_quadratic_make(*_least_squares(seed, m)).oracle()
+    trace = pl_minimize(PLConfig(x0=np.ones(N_DIM), N=30), oracle)
+    assert trace.termination == TERM_COMPLETED
+
+    def step(x, L, Delta, g):
+        x_next = g * -pl_step_size(L, Delta, norm(g))
+        x_next += x
+        return x_next
+
+    _assert_decisions_replay(oracle, trace, step)
 
 
 def _count(monkeypatch, module, name, counter):

@@ -264,6 +264,18 @@ class TestRunners:
         with pytest.raises(ValueError):
             compare_adaptive_nonadaptive(spec)
 
+    # compare freezes its estimate at Delta and has no certificate stop; it
+    # used to run on and print the same estimates whatever these fields said
+    @pytest.mark.parametrize("field, value", [("epsilon", 0.5), ("Delta0", 0.01), ("delta0", 0.3)])
+    def test_compare_refuses_fields_it_ignores(self, monkeypatch, field, value):
+        def no_data(*args):
+            raise AssertionError("data drawn before the spec was checked")
+
+        monkeypatch.setattr(harness, "_quadratic_problem", no_data)
+        spec = ExperimentSpec(task="pl-quadratic", n=5, m=7, **{field: value})
+        with pytest.raises(ValueError, match=f"compare does not read {field}"):
+            compare_adaptive_nonadaptive(spec)
+
 
 def _at_offset(a, offset):
     """A copy of ``a`` whose data starts ``offset`` bytes past a 64-byte
@@ -392,6 +404,16 @@ class TestCLI:
             main(argv)
         assert info.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["epsilon = 0.5", "Delta0 = 0.01", "delta0 = 0.3"])
+    def test_compare_refuses_a_config_field_it_ignores(self, tmp_path, capsys, line):
+        cfg, out = tmp_path / "spec.cfg", tmp_path / "cmp.csv"
+        cfg.write_text(f"task = pl-quadratic\n{line}\n")
+        rc = main(["compare", "--config", str(cfg), "--n", "5", "--m", "7", "--iters", "25",
+                   "--reps", "2", "--Delta", "0.1", "--out", str(out)])
+        assert rc == 2
+        assert f"compare does not read {line.split()[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_smoke(self, tmp_path):
         out = tmp_path / "cmp.csv"
