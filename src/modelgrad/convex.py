@@ -85,11 +85,13 @@ class ConvexTrace(Trace):
 
     ``cert_hist[k]`` is the online certificate after step k, (R^2 + sum of
     (delta_i + Delta_i * step_i) / L_i) / S plus the oracle's known value
-    gap; NaN without ``R``.  For gamma > 0 (injected gradient noise) the
-    bound also has a gamma * ||x_i - x*|| / L_i term per step.  On a ball
-    the certificate bounds it by gamma * diam(Q), twice gamma times the
-    radius, so it stays a bound, if a loose one; on the whole space it is
-    NaN.  ``certificate_bound`` gives the tight version, given x*.
+    gap; NaN without ``R``, and NaN when the oracle's values are inexact
+    (``exact_values`` False) with ``known_delta`` None.  For gamma > 0
+    (injected gradient noise) the bound also has a gamma * ||x_i - x*|| /
+    L_i term per step.  On a ball the certificate bounds it by gamma *
+    diam(Q), twice gamma times the radius, so it stays a bound, if a loose
+    one; on the whole space it is NaN.  ``certificate_bound`` gives the
+    tight version, given x*.
     """
 
     step_norms: np.ndarray
@@ -129,21 +131,6 @@ def model_step(
     return feasible.project(v)
 
 
-def _acceptance_attempt(oracle, feasible, x_k, anchor, g, f_k, k):
-    """The trial ``backtrack`` makes for algo1 and restart phase 1: the
-    model step at L, kept as (x_next, its evaluation, psi, squared step,
-    step) when it passes the acceptance inequality at (L, delta, Delta)."""
-
-    def attempt(L, delta, Delta):
-        x_next = model_step(oracle, feasible, x_k, L, g)
-        trial, psi, sq, step = _trial(oracle, x_k, anchor, g, x_next, k)
-        if trial.value <= _acceptance_rhs(f_k, psi, L, 0.5 * sq, step, Delta, delta):
-            return x_next, trial, psi, sq, step
-        return None
-
-    return attempt
-
-
 def convex_minimize(
     config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet
 ) -> ConvexTrace:
@@ -158,15 +145,16 @@ def convex_minimize(
     cap = config.max_inner_per_iter
 
     def advance(k, x, anchor, f, g, triple):
+        def attempt(L, delta, Delta):
+            x_next = model_step(oracle, feasible, x, L, g)
+            trial, psi, sq, step = _trial(oracle, x, anchor, g, x_next, k)
+            if trial.value <= _acceptance_rhs(f, psi, L, 0.5 * sq, step, Delta, delta):
+                return x_next, trial, step
+            return None
+
         L, delta, Delta = triple
-        (x_next, trial, _, _, step), L, delta, Delta, inner = backtrack(
-            _acceptance_attempt(oracle, feasible, x, anchor, g, f, k),
-            0.5 * L,
-            0.5 * delta,
-            0.5 * Delta,
-            math.inf,
-            cap,
-            k,
+        (x_next, trial, step), L, delta, Delta, inner = backtrack(
+            attempt, 0.5 * L, 0.5 * delta, 0.5 * Delta, math.inf, cap, k
         )
         return x_next, trial, L, delta, Delta, step, inner
 
@@ -199,15 +187,11 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     weighted_sum = np.zeros_like(x0)
     noise_sum = 0.0  # running sum of (delta_k + Delta_k * step_k) / L_k
 
-    report_delta = 0.0 if oracle.exact_values else oracle.known_delta
-    early = (
-        config.R is not None
-        and config.epsilon is not None
-        and oracle.gamma == 0
-        and report_delta is not None
-    )
+    gap = 0.0 if oracle.exact_values else oracle.known_delta
+    if gap is None:  # values inexact by an unknown amount: no bound, no early stop
+        gap = math.nan
+    early = config.R is not None and config.epsilon is not None and oracle.gamma == 0
     R_sq = None if config.R is None else config.R**2
-    gap = report_delta or 0.0
     if oracle.gamma > 0:  # gamma * ||x_k - x*|| is at most gamma * diam(Q)
         gap = (gap + oracle.gamma * 2.0 * feasible.radius) if feasible.radius else math.nan
     stopped_early = False

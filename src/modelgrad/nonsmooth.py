@@ -11,7 +11,8 @@ the inexactness term is small,
 or the step satisfies the smooth-only acceptance inequality at the inflated
 constant.  Both exits keep the averaged-output certificate valid, so the
 accuracy bound decays like R^2 / S_N down to an epsilon/2 floor instead of
-stalling when iterates approach kinks.
+stalling when iterates approach kinks.  The two phases are one attempt of
+``core.backtrack``: one trial cap, ``max_inner_per_iter``, covers both.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ModelOracle, NonTerminationError, _trial, backtrack
-from .convex import ConvexConfig, _acceptance_attempt, _run, model_step
+from .core import FeasibleSet, ModelOracle, _acceptance_rhs, _trial, backtrack
+from .convex import ConvexConfig, _run, model_step
 
 __all__ = [
     "NonsmoothConfig",
@@ -45,16 +46,18 @@ class NonsmoothConfig:
 
     ``epsilon`` is the target accuracy driving the per-iteration stopping
     rules (distinct from ``base.epsilon``, the optional certificate stop).
-    ``L_class`` optionally supplies the smoothness constant of the smooth
-    part; without it the doubling threshold anchors at each iteration's
-    first accepted L, which keeps the certificate bookkeeping exact.
+    ``base.max_inner_per_iter`` caps the trials of both phases of a restart
+    together.  ``L_class`` optionally supplies the smoothness constant of
+    the smooth part.  The smooth exit tests the doubled min(L_class, L1),
+    L1 the L at which phase 1 accepted, so ``L_class`` only ever lowers the
+    exit's constant below the L the step is recorded at; without it the
+    exit tests that L itself.
     """
 
     base: ConvexConfig
     epsilon: float
     Delta_known: float = 0.0
     L_class: Optional[float] = None
-    p_cap: int = 64
 
     def __post_init__(self):
         if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
@@ -63,8 +66,6 @@ class NonsmoothConfig:
             raise ValueError("Delta_known must be nonnegative and finite")
         if self.L_class is not None and not self.L_class > 0:
             raise ValueError("L_class must be positive when given")
-        if self.p_cap < 1:
-            raise ValueError("p_cap must be at least 1")
         if self.base.delta0 != 0.0:
             raise ValueError("the restarted method assumes exact values (delta0 = 0)")
 
@@ -122,7 +123,9 @@ def nonsmooth_minimize(
     values and a tight lower model (gamma = 0).  Inexactness
     bookkeeping per iteration: a delta-term exit contributes
     Delta_known * step to the certificate numerator (at most epsilon/2), a
-    smooth exit contributes nothing.
+    smooth exit contributes nothing.  A restart that uses up
+    ``max_inner_per_iter`` trials raises ``NonTerminationError`` with the
+    next (L, 0, Delta_known).
     """
     if not oracle.exact_values:
         raise ValueError("the restarted method requires exact objective values")
@@ -130,47 +133,43 @@ def nonsmooth_minimize(
         raise ValueError("the restarted method requires a tight lower model")
     records = []
     Delta_fixed = config.Delta_known
+    cap = config.base.max_inner_per_iter
 
     def restart(k, x, anchor, f, g, triple):
-        # Phase 1: plain acceptance at the frozen Delta; identical trial
-        # sequence to the convex solver when Delta_fixed = 0.
-        (x_next, trial, psi, sq, step), L, _, _, trials = backtrack(
-            _acceptance_attempt(oracle, feasible, x, anchor, g, f, k),
-            0.5 * triple[0],
-            0.0,
-            Delta_fixed,
-            Delta_fixed,
-            config.base.max_inner_per_iter,
-            k,
-        )
+        # One attempt runs both phases; ``backtrack`` doubles L between its
+        # calls.  Phase 1 (p is None): the plain acceptance inequality at the
+        # frozen Delta, the same trial sequence as algo1's when Delta_fixed
+        # = 0.  Its first pass sets p = 0 and the smooth-exit constant
+        # ``ref``, min(L_class, L1) for the passing L1; each later call is
+        # phase 2, which adds 1 to p and doubles ``ref``, so the smooth exit
+        # never tests a constant above the L the step is recorded at.
+        p = ref = None
 
-        # Phase 2: keep Delta frozen, double L until one of the two exits.
-        # With no supplied class constant the smooth threshold anchors at the
-        # bootstrapped L, so a smooth exit certifies the step at the current L
-        # with no inexactness contribution at all.
-        # A RestartRecord takes its fields positionally: keywords would
-        # double its cost.
-        L_ref = L if config.L_class is None else config.L_class
-        p = 0
-        while True:
-            if Delta_fixed * step <= 0.5 * config.epsilon:
-                records.append(RestartRecord(k, p, STOP_DELTA_TERM, L))
-                return x_next, trial, L, 0.0, Delta_fixed, step, trials
-            if trial.value <= f + psi + (2.0**p) * L_ref * (0.5 * sq):
-                records.append(RestartRecord(k, p, STOP_SMOOTH, L))
-                return x_next, trial, L, 0.0, 0.0, step, trials
-            p += 1
-            if p > config.p_cap:
-                raise NonTerminationError(
-                    f"neither stopping rule fired within {config.p_cap} doublings"
-                    f" at iteration {k} (L reached {L})",
-                    k,
-                    None,
-                    config.p_cap,
-                )
-            L *= 2.0
-            trials += 1
+        def attempt(L, delta, Delta):
+            nonlocal p, ref
             x_next = model_step(oracle, feasible, x, L, g)
             trial, psi, sq, step = _trial(oracle, x, anchor, g, x_next, k)
+            if p is None:
+                if not trial.value <= _acceptance_rhs(f, psi, L, 0.5 * sq, step, Delta, delta):
+                    return None
+                p = 0
+                ref = L if config.L_class is None else min(config.L_class, L)
+            else:
+                p += 1
+                ref *= 2.0
+            # A RestartRecord takes its fields positionally: keywords would
+            # double its cost.
+            if Delta_fixed * step <= 0.5 * config.epsilon:
+                records.append(RestartRecord(k, p, STOP_DELTA_TERM, L))
+                return x_next, trial, Delta_fixed, step
+            if trial.value <= f + psi + ref * (0.5 * sq):
+                records.append(RestartRecord(k, p, STOP_SMOOTH, L))
+                return x_next, trial, 0.0, step
+            return None
+
+        (x_next, trial, Delta, step), L, _, _, trials = backtrack(
+            attempt, 0.5 * triple[0], 0.0, Delta_fixed, Delta_fixed, cap, k
+        )
+        return x_next, trial, L, 0.0, Delta, step, trials
 
     return _run(config.base, oracle, feasible, restart), records

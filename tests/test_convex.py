@@ -13,8 +13,10 @@ from modelgrad.convex import (
 )
 from modelgrad.core import (
     CertificateUnavailableError,
+    Evaluation,
     FeasibleSet,
     FunctionOracle,
+    ModelOracle,
     NonFiniteOracleError,
     NonTerminationError,
 )
@@ -312,6 +314,20 @@ class TestCertificate:
         assert gap > 0.5 * Delta**2 * 0.99
         assert ball.cert_hist[-1] >= gap
         assert np.isnan(convex_minimize(config, noisy, WHOLE).cert_hist).all()
+
+    def test_unknown_value_gap_gives_nan(self):
+        # values 0.01 low, the gap left unset: nothing bounds the true gap,
+        # where the certificate used to leave the gap out (1.5e-5 at step 20)
+        class LowValues(ModelOracle):
+            exact_values = False
+
+            def evaluate(self, x):
+                return Evaluation(0.5 * float(x @ x) - 0.01, 0.0, lambda: x.copy())
+
+        config = ConvexConfig(x0=np.array([1.0, 0.0]), N=20, R=1.0, epsilon=1e-3)
+        trace = convex_minimize(config, LowValues(), WHOLE)
+        assert trace.N_run == 20 and not trace.stopped_early
+        assert np.isnan(trace.cert_hist).all()
 
 
 class TestInnerCallBudget:

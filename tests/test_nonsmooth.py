@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modelgrad.convex import ConvexConfig, convex_minimize
+from modelgrad.convex import ConvexConfig, convex_minimize, model_step
 from modelgrad.core import (
     FeasibleSet,
     FunctionOracle,
@@ -17,7 +21,7 @@ from modelgrad.nonsmooth import (
     nonsmooth_minimize,
     p_bound,
 )
-from modelgrad.problems import NoisyOracle, generate_task1, pl_quadratic_make
+from modelgrad.problems import NoisyOracle, generate_task1, generate_task2, pl_quadratic_make
 
 WHOLE = FeasibleSet.whole_space()
 UNIT_BALL = FeasibleSet.ball(np.zeros(2), 1.0)
@@ -75,8 +79,6 @@ class TestConfig:
             NonsmoothConfig(base=self._base(), epsilon=0.1, Delta_known=-1.0)
         with pytest.raises(ValueError):
             NonsmoothConfig(base=self._base(), epsilon=0.1, L_class=0.0)
-        with pytest.raises(ValueError):
-            NonsmoothConfig(base=self._base(), epsilon=0.1, p_cap=0)
 
 
 class TestRestartInner:
@@ -114,11 +116,11 @@ class TestRestartInner:
         oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
         with pytest.raises(NonTerminationError) as info:
             self._restart(
-                oracle, np.zeros(2), L0=2e-6, Delta_known=0.6, epsilon=1e-6, p_cap=8,
+                oracle, np.zeros(2), L0=2e-6, Delta_known=0.6, epsilon=1e-6, inner_cap=9,
                 L_class=1e-12,
             )
-        assert info.value.inner_calls == 8
-        assert info.value.triple is None
+        assert info.value.inner_calls == 9
+        assert info.value.triple == (2**9 * 1e-6, 0.0, 0.6)
         assert info.value.partial_trace.N_run == 0
 
 
@@ -197,6 +199,17 @@ class TestNonsmoothMinimize:
         assert trace.stopped_early
         assert trace.cert_hist[-1] <= 0.05
 
+    def test_class_constant_above_the_accepted_L_keeps_a_bound(self):
+        # the smooth exit used to test 2^p L_class but book the step at
+        # 2^p L1 with Delta = 0; with L_class = 10 above L1 the certificate
+        # read 2.3e-13 against f(x_hat) - best_f = 2.9e11
+        prob = generate_task2(n=2, m=3, seed=1)
+        base = ConvexConfig(x0=np.zeros(2), L0=1.0, N=40, R=math.sqrt(0.5))
+        config = NonsmoothConfig(base=base, epsilon=0.05, Delta_known=2.0, L_class=10.0)
+        trace, _ = nonsmooth_minimize(config, prob.oracle(), prob.feasible)
+        assert trace.N_run == 40
+        assert trace.cert_hist[-1] >= prob.value(trace.x_hat) - trace.best_f
+
     def test_infinite_gradient_fails_at_once(self):
         # the gradient blows up once an iterate leaves the half plane x0 < 0.5
         target = np.array([2.0, 0.0])
@@ -224,3 +237,63 @@ class TestNonsmoothMinimize:
         loose = FunctionOracle(lambda x: 0.0, lambda x: np.zeros(3), gamma=0.1)
         with pytest.raises(ValueError):
             nonsmooth_minimize(config, loose, WHOLE)
+
+
+def _restart_trial(oracle, feasible, x, L, f, g):
+    """The restart's trial at L from x: (its value, psi, squared step, step)."""
+    y = model_step(oracle, feasible, x, L, g)
+    d = y - x
+    sq = float(d.dot(d))
+    return oracle.evaluate(y).value, float(g.dot(d)), sq, math.sqrt(sq)
+
+
+@given(
+    st.sampled_from([generate_task1, generate_task2]),
+    st.integers(2, 20),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 1.0, 10.0]),
+    st.sampled_from([None, 0.01, 100.0]),
+    st.sampled_from([0.5, 2.0, 10.0]),
+    st.sampled_from([0.01, 0.1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_restart_decisions_replay(task, n, m, seed, L0, L_class_ratio, Delta, eps):
+    """Both phases of every restart, rebuilt from the trace and the records:
+    phase 1's rejections and its pass at L1 = L_k / 2^p, the doublings
+    where neither exit fired, and the exit itself at the recorded L_k."""
+    prob = task(n=n, m=m, seed=seed)
+    oracle, feasible = prob.oracle(), prob.feasible
+    L_class = None if L_class_ratio is None else L_class_ratio * L0
+    base = ConvexConfig(x0=np.zeros(n), L0=L0, N=30, R=math.sqrt(0.5))
+    config = NonsmoothConfig(base=base, epsilon=eps, Delta_known=Delta, L_class=L_class)
+    trace, records = nonsmooth_minimize(config, oracle, feasible)
+    assert trace.N_run == 30 and len(records) == 30
+    for k, rec in enumerate(records):
+        x = trace.iterates[k]
+        anchor = oracle.evaluate(x)
+        f, g = anchor.value, anchor.gradient()
+        L, p = trace.L_hist[k], rec.p_used
+        assert rec.k == k and rec.final_L == L and trace.inner_hist[k] >= p + 1
+
+        L1 = L / 2.0**p
+        for j in range(trace.inner_hist[k] - p):  # phase 1, last trial first
+            value, psi, sq, step = _restart_trial(oracle, feasible, x, L1 / 2.0**j, f, g)
+            passes = value <= f + psi + (L1 / 2.0**j) * (0.5 * sq) + Delta * step
+            assert passes == (j == 0)
+
+        ref = L1 if L_class is None else min(L_class, L1)
+        for i in range(p):  # phase 2's doublings before the exit
+            value, psi, sq, step = _restart_trial(oracle, feasible, x, L1 * 2.0**i, f, g)
+            assert Delta * step > 0.5 * eps
+            assert value > f + psi + ref * 2.0**i * (0.5 * sq)
+
+        d = trace.iterates[k + 1] - x
+        assert trace.step_norms[k] == math.sqrt(float(d.dot(d)))
+        if rec.stop_reason == STOP_DELTA_TERM:
+            assert trace.Delta_hist[k] == Delta
+            assert Delta * trace.step_norms[k] <= 0.5 * eps
+        else:
+            assert rec.stop_reason == STOP_SMOOTH and trace.Delta_hist[k] == 0.0
+            assert trace.f_values[k] <= f + float(g.dot(d)) + L * (0.5 * float(d.dot(d)))
+    assert trace.cert_hist[-1] >= prob.value(trace.x_hat) - trace.best_f
