@@ -48,10 +48,10 @@ class NonsmoothConfig:
     rules (distinct from ``base.epsilon``, the optional certificate stop).
     ``base.max_inner_per_iter`` caps the trials of both phases of a restart
     together.  ``L_class`` optionally supplies the smoothness constant of
-    the smooth part.  The smooth exit tests the doubled min(L_class, L1),
-    L1 the L at which phase 1 accepted, so ``L_class`` only ever lowers the
-    exit's constant below the L the step is recorded at; without it the
-    exit tests that L itself.
+    the smooth part: phase 2 then doubles from max(L1, L_class) instead of
+    from L1, the L at which phase 1 accepted, which bounds its doublings
+    by ``p_bound(Delta_known, epsilon, L_class)``.  Either way both exits
+    are tested at the L the step is recorded at.
     """
 
     base: ConvexConfig
@@ -83,8 +83,12 @@ class RestartRecord:
 def p_bound(Delta: float, epsilon: float, L: float) -> int:
     """Smallest p with 2^p > 1 + 16 Delta^2 / (epsilon L).
 
-    Bounds the number of fixed-Delta doublings any outer iteration can
-    need before one of the two stopping rules fires.
+    Bounds the fixed-Delta doublings of any restart that doubles from at
+    least L, for an objective with f(x+) <= f + <g, d> + L/2 ||d||^2 +
+    Delta ||d|| at every step d = x+ - x.  If the smooth exit fails at
+    L' > L, then (L' - L)/2 ||d||^2 < Delta ||d||, so Delta ||d|| < 2
+    Delta^2 / (L' - L), and the delta-term exit fires once (2^p - 1) L >=
+    4 Delta^2 / epsilon: the 16 leaves a factor of 4 to spare.
     """
     if not (epsilon > 0 and L > 0):
         raise ValueError("epsilon and L must be positive")
@@ -125,7 +129,8 @@ def nonsmooth_minimize(
     Delta_known * step to the certificate numerator (at most epsilon/2), a
     smooth exit contributes nothing.  A restart that uses up
     ``max_inner_per_iter`` trials raises ``NonTerminationError`` with the
-    next (L, 0, Delta_known).
+    next (L, 0, Delta_known) of ``backtrack``'s doubling, whichever phase
+    ran out: the error does not say whether phase 1 ever passed.
     """
     if not oracle.exact_values:
         raise ValueError("the restarted method requires exact objective values")
@@ -133,41 +138,45 @@ def nonsmooth_minimize(
         raise ValueError("the restarted method requires a tight lower model")
     records = []
     Delta_fixed = config.Delta_known
+    L_min = config.L_class or 0.0
     cap = config.base.max_inner_per_iter
 
     def restart(k, x, anchor, f, g, triple):
-        # One attempt runs both phases; ``backtrack`` doubles L between its
-        # calls.  Phase 1 (p is None): the plain acceptance inequality at the
-        # frozen Delta, the same trial sequence as algo1's when Delta_fixed
-        # = 0.  Its first pass sets p = 0 and the smooth-exit constant
-        # ``ref``, min(L_class, L1) for the passing L1; each later call is
-        # phase 2, which adds 1 to p and doubles ``ref``, so the smooth exit
-        # never tests a constant above the L the step is recorded at.
-        p = ref = None
+        # One attempt runs both phases; ``backtrack`` counts its calls and
+        # doubles L between them.  Phase 1 (p is None) tests the plain
+        # acceptance inequality at the frozen Delta, the same trial sequence
+        # as algo1's when Delta_fixed = 0.  Its first pass, at L1, starts
+        # phase 2 at L2 = max(L1, L_class): on that same trial when L1 is
+        # the larger, else with a new trial at L_class.  Each later call
+        # adds 1 to p and doubles L2.  Both exits are tested at L2, the L
+        # the step is recorded at.
+        p = L2 = None
 
         def attempt(L, delta, Delta):
-            nonlocal p, ref
+            nonlocal p, L2
+            if p is not None:
+                p += 1
+                L = L2 = 2.0 * L2
             x_next = model_step(oracle, feasible, x, L, g)
             trial, psi, sq, step = _trial(oracle, x, anchor, g, x_next, k)
             if p is None:
                 if not trial.value <= _acceptance_rhs(f, psi, L, 0.5 * sq, step, Delta, delta):
                     return None
-                p = 0
-                ref = L if config.L_class is None else min(config.L_class, L)
-            else:
-                p += 1
-                ref *= 2.0
+                if L < L_min:
+                    p, L2 = -1, 0.5 * L_min
+                    return None
+                p, L2 = 0, L
             # A RestartRecord takes its fields positionally: keywords would
             # double its cost.
             if Delta_fixed * step <= 0.5 * config.epsilon:
                 records.append(RestartRecord(k, p, STOP_DELTA_TERM, L))
-                return x_next, trial, Delta_fixed, step
-            if trial.value <= f + psi + ref * (0.5 * sq):
+                return x_next, trial, Delta_fixed, step, L
+            if trial.value <= f + psi + L * (0.5 * sq):
                 records.append(RestartRecord(k, p, STOP_SMOOTH, L))
-                return x_next, trial, 0.0, step
+                return x_next, trial, 0.0, step, L
             return None
 
-        (x_next, trial, Delta, step), L, _, _, trials = backtrack(
+        (x_next, trial, Delta, step, L), _, _, _, trials = backtrack(
             attempt, 0.5 * triple[0], 0.0, Delta_fixed, Delta_fixed, cap, k
         )
         return x_next, trial, L, 0.0, Delta, step, trials

@@ -18,7 +18,7 @@ from modelgrad.convex import ConvexConfig, convex_minimize, model_step
 from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle, norm
 from modelgrad.harness import ExperimentSpec
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from modelgrad.pl import TERM_COMPLETED, PLConfig, pl_minimize, pl_step_size
+from modelgrad.pl import TERM_COMPLETED, TERM_FLOOR, PLConfig, pl_minimize, pl_step_size
 from modelgrad.problems import (
     L1Penalty,
     NoisyOracle,
@@ -182,7 +182,8 @@ def test_damped_decisions_match_the_oracle_model(seed, m):
     """algo2's damped step x - h g with an exact oracle, where psi = <g, d>."""
     oracle = pl_quadratic_make(*_least_squares(seed, m)).oracle()
     trace = pl_minimize(PLConfig(x0=np.ones(N_DIM), N=30), oracle)
-    assert trace.termination == TERM_COMPLETED
+    # with m < N_DIM a run can reach a zero gradient and stop at the floor
+    assert trace.termination in (TERM_COMPLETED, TERM_FLOOR)
 
     def step(x, L, Delta, g):
         x_next = g * -pl_step_size(L, Delta, norm(g))

@@ -112,7 +112,8 @@ class TestRestartInner:
 
     def test_p_cap_trips_when_no_exit_fires(self):
         # Delta above the gradient norm makes the bootstrap accept at once,
-        # but a tiny epsilon and a tiny class constant starve both exits
+        # but a tiny epsilon starves the delta-term exit, and a constant
+        # value with a nonzero gradient fails the smooth exit at every L
         oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
         with pytest.raises(NonTerminationError) as info:
             self._restart(
@@ -260,8 +261,9 @@ def _restart_trial(oracle, feasible, x, L, f, g):
 @settings(max_examples=40, deadline=None)
 def test_restart_decisions_replay(task, n, m, seed, L0, L_class_ratio, Delta, eps):
     """Both phases of every restart, rebuilt from the trace and the records:
-    phase 1's rejections and its pass at L1 = L_k / 2^p, the doublings
-    where neither exit fired, and the exit itself at the recorded L_k."""
+    phase 1 from half the previous L to its pass at L1, phase 2's trials at
+    2^i max(L1, L_class) where neither exit fired, and the exit itself at
+    the recorded L_k = 2^p max(L1, L_class)."""
     prob = task(n=n, m=m, seed=seed)
     oracle, feasible = prob.oracle(), prob.feasible
     L_class = None if L_class_ratio is None else L_class_ratio * L0
@@ -274,19 +276,24 @@ def test_restart_decisions_replay(task, n, m, seed, L0, L_class_ratio, Delta, ep
         anchor = oracle.evaluate(x)
         f, g = anchor.value, anchor.gradient()
         L, p = trace.L_hist[k], rec.p_used
-        assert rec.k == k and rec.final_L == L and trace.inner_hist[k] >= p + 1
+        assert rec.k == k and rec.final_L == L
 
-        L1 = L / 2.0**p
-        for j in range(trace.inner_hist[k] - p):  # phase 1, last trial first
-            value, psi, sq, step = _restart_trial(oracle, feasible, x, L1 / 2.0**j, f, g)
-            passes = value <= f + psi + (L1 / 2.0**j) * (0.5 * sq) + Delta * step
-            assert passes == (j == 0)
+        L1 = 0.5 * (L0 if k == 0 else trace.L_hist[k - 1])
+        for n1 in range(1, trace.inner_hist[k] + 1):  # phase 1
+            value, psi, sq, step = _restart_trial(oracle, feasible, x, L1, f, g)
+            if value <= f + psi + L1 * (0.5 * sq) + Delta * step:
+                break
+            L1 *= 2.0
+        else:
+            pytest.fail(f"phase 1 never passed at step {k}")
+        jump = L_class is not None and L1 < L_class
+        L2 = L_class if jump else L1
+        assert L == L2 * 2.0**p and trace.inner_hist[k] == n1 + jump + p
 
-        ref = L1 if L_class is None else min(L_class, L1)
         for i in range(p):  # phase 2's doublings before the exit
-            value, psi, sq, step = _restart_trial(oracle, feasible, x, L1 * 2.0**i, f, g)
+            value, psi, sq, step = _restart_trial(oracle, feasible, x, L2 * 2.0**i, f, g)
             assert Delta * step > 0.5 * eps
-            assert value > f + psi + ref * 2.0**i * (0.5 * sq)
+            assert value > f + psi + L2 * 2.0**i * (0.5 * sq)
 
         d = trace.iterates[k + 1] - x
         assert trace.step_norms[k] == math.sqrt(float(d.dot(d)))
