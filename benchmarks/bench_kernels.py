@@ -1,7 +1,9 @@
 """Timing of the distance kernels and of the solvers' trial-path layers.
 
-Times each kernel (with the row norms precomputed, as the problems call
-it) next to the direct formula it replaced, which forms the (m, n)
+Times the ball-sum value and subgradient as ``BallSumProblem`` computes
+them (one sweep, whose squared distances the subgradient reuses) and the
+min-max kernel, with the row norms precomputed as the problems pass them,
+next to the direct formula each replaced, which forms the (m, n)
 difference matrix, at the sizes of the paper's protocols and beyond.
 
 Then times the layers one solver trial runs through, on task1's geometry:
@@ -73,6 +75,15 @@ def ballsum_sweep(centers, x, radius, sqnorms):
         return kernels.ballsum_sweep(centers, x, radius, sqnorms)
     sq, redo = kernels.sq_dists(centers, x, sqnorms, radius * radius)
     return kernels.ballsum_value_from(sq, radius), sq, redo
+
+
+def sweep_ballsum_value(centers, x, radius, sqnorms):
+    return ballsum_sweep(centers, x, radius, sqnorms)[0]
+
+
+def sweep_ballsum_subgrad(centers, x, radius, sqnorms):
+    _, sq, redo = ballsum_sweep(centers, x, radius, sqnorms)
+    return kernels.ballsum_subgrad_from(centers, x, radius, sq, redo)
 
 
 def trial_path_cases(centers, x, rng):
@@ -160,13 +171,13 @@ def main() -> int:
         cases_by_size.append((n, m, centers, x))
         sqnorms = kernels.row_sqnorms(centers)
         cases = (
-            ("ballsum_value", direct_ballsum_value, (centers, x, 1.0)),
-            ("ballsum_subgrad", direct_ballsum_subgrad, (centers, x, 1.0)),
-            ("minmax_value", direct_minmax_value, (centers, x)),
+            ("ballsum_value", direct_ballsum_value, sweep_ballsum_value, (centers, x, 1.0)),
+            ("ballsum_subgrad", direct_ballsum_subgrad, sweep_ballsum_subgrad, (centers, x, 1.0)),
+            ("minmax_value", direct_minmax_value, kernels.minmax_value, (centers, x)),
         )
-        for name, direct, call_args in cases:
+        for name, direct, kernel, call_args in cases:
             t_direct = _best_us(direct, call_args, args.repeats)
-            t_kernel = _best_us(getattr(kernels, name), call_args + (sqnorms,), args.repeats)
+            t_kernel = _best_us(kernel, call_args + (sqnorms,), args.repeats)
             print(f"{name:<18}{n:>8}{m:>6}{t_direct:>12.1f}{t_kernel:>12.1f}"
                   f"{t_direct / t_kernel:>9.1f}x")
 

@@ -108,7 +108,7 @@ def _build_spec(args, *, default_task=None) -> ExperimentSpec:
 
 def _cmd_solve(args) -> int:
     spec = _build_spec(args)
-    trace, _ = run_single(spec)
+    trace = run_single(spec)
     out = args.out or "trace.csv"
     write_csv(trace, out)
     last_f = trace.f_values[-1] if len(trace.f_values) else trace.f0

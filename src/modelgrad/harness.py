@@ -370,7 +370,7 @@ def _working_levels(spec: ExperimentSpec) -> tuple:
 
 
 def _solve(spec: ExperimentSpec, problem, oracle, feasible, frozen: bool = False):
-    """Run the configured solver; returns (trace, restart records or None).
+    """Run the configured solver; returns its trace.
     ``frozen`` freezes algo2's gradient-error estimate at its start value."""
     N = max(spec.iteration_grid)
     delta0, Delta0 = _working_levels(spec)
@@ -385,7 +385,7 @@ def _solve(spec: ExperimentSpec, problem, oracle, feasible, frozen: bool = False
             store_iterates=False,
             adapt_Delta=not frozen,
         )
-        return pl_minimize(cfg, oracle), None
+        return pl_minimize(cfg, oracle)
     algo1 = spec.solver == "algo1"
     base = ConvexConfig(
         x0=np.zeros(spec.n),
@@ -397,18 +397,17 @@ def _solve(spec: ExperimentSpec, problem, oracle, feasible, frozen: bool = False
         store_iterates=False,
     )
     if algo1:
-        return convex_minimize(base, oracle, feasible), None
+        return convex_minimize(base, oracle, feasible)
     cfg = NonsmoothConfig(
         base=base,
         epsilon=spec.epsilon if spec.epsilon is not None else 0.05,
         Delta_known=_nonsmooth_class_Delta(spec),
     )
-    return nonsmooth_minimize(cfg, oracle, feasible)
+    return nonsmooth_minimize(cfg, oracle, feasible)[0]
 
 
 def run_single(spec: ExperimentSpec, rep_seed: Optional[int] = None):
-    """One solver run at N = max(grid); returns (trace, restart records or
-    None)."""
+    """One solver run at N = max(grid); returns its trace."""
     if rep_seed is None:
         rep_seed = _rep_seeds(spec)[0]
     return _solve(spec, *_prepare(spec, rep_seed))
@@ -470,7 +469,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     for r, rep_seed in enumerate(seeds):
         problem, oracle, feasible = _prepare(spec, rep_seed)
-        trace, _ = _solve(spec, problem, oracle, feasible)
+        trace = _solve(spec, problem, oracle, feasible)
         if spec.task in ("task1", "task2"):
             lb = 0.0 if spec.task == "task1" else problem.lower_bound()
             cells = _estimates_at(trace, spec, lb)
@@ -516,8 +515,7 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
     for r, rep_seed in enumerate(seeds):
         problem = _quadratic_problem(spec, rep_seed)
         tr_a, tr_na = (
-            _solve(spec, problem, _maybe_noisy(problem.oracle(), spec, rep_seed + 1), None,
-                   frozen)[0]
+            _solve(spec, problem, _maybe_noisy(problem.oracle(), spec, rep_seed + 1), None, frozen)
             for frozen in (False, True)
         )
         bound_a = pl_rate_bound(tr_a, problem.mu, spec.Delta)

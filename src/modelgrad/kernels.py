@@ -33,9 +33,9 @@ first index as the distances come.  A guard row or a NaN or infinite
 distance sends such a call back through ``sq_dists`` (the sweep with its
 recompute) followed by the per-row reduction, whose floats, tie rule and
 NaN results the loop reproduces everywhere else.  ``ballsum_sweep`` also
-returns the squared distances, so a caller that needs both the value and
-the subgradient at one point (``BallSumProblem.evaluate``) sweeps once and
-hands them to ``ballsum_subgrad_from``.
+returns the squared distances and recomputed rows, those of ``sq_dists``
+bit for bit, so ``BallSumProblem`` sweeps each point once and hands them
+to ``ballsum_subgrad_from`` for the subgradient.
 """
 
 import math
@@ -131,7 +131,7 @@ def ballsum_subgrad_from(centers, x, radius, sq, redo):
 
 
 def ballsum_sweep(centers, x, radius, sqnorms=None):
-    """(ballsum value, sq, redo) at ``x``: the value of ``ballsum_value``
+    """(sum_k max(||x - a_k|| - radius, 0), sq, redo) at ``x``: the value
     with the squared distances and recomputed rows of ``sq_dists``, which
     ``ballsum_subgrad_from`` takes.
 
@@ -160,17 +160,6 @@ def ballsum_sweep(centers, x, radius, sqnorms=None):
             return total, sq, []
     sq, redo = _sq_dists(centers, x, xx, a2s, axs, kink_sq)
     return ballsum_value_from(sq, radius), sq, redo
-
-
-def ballsum_value(centers, x, radius, sqnorms=None):
-    """sum_k max(||x - a_k|| - radius, 0)."""
-    return ballsum_sweep(centers, x, radius, sqnorms)[0]
-
-
-def ballsum_subgrad(centers, x, radius, sqnorms=None):
-    """sum over rows outside their ball of (x - a_k) / ||x - a_k||."""
-    sq, redo = sq_dists(centers, x, sqnorms, radius * radius)
-    return ballsum_subgrad_from(centers, x, radius, sq, redo)
 
 
 def minmax_value(centers, x, sqnorms=None):

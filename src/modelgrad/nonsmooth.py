@@ -51,7 +51,9 @@ class NonsmoothConfig:
     the smooth part: phase 2 then doubles from max(L1, L_class) instead of
     from L1, the L at which phase 1 accepted, which bounds its doublings
     by ``p_bound(Delta_known, epsilon, L_class)``.  Either way both exits
-    are tested at the L the step is recorded at.
+    are tested at the L the step is recorded at.  ``base.delta0`` and
+    ``base.Delta0`` must be 0: the method assumes exact values and takes
+    its fixed Delta from ``Delta_known``.
     """
 
     base: ConvexConfig
@@ -68,6 +70,8 @@ class NonsmoothConfig:
             raise ValueError("L_class must be positive when given")
         if self.base.delta0 != 0.0:
             raise ValueError("the restarted method assumes exact values (delta0 = 0)")
+        if self.base.Delta0 != 0.0:
+            raise ValueError("the restarted method reads Delta_known, not base.Delta0; leave it 0")
 
 
 @dataclass(frozen=True)

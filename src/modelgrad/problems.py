@@ -60,11 +60,29 @@ class _ProblemOracle(ModelOracle):
         return self._evaluate(x)
 
 
-def _checked_point(problem, x) -> Vector:
-    x = as_vector(x)
-    if len(x) != problem.dim:
-        raise ValueError("point dimension differs from the centers")
-    return x
+class _Problem:
+    """The public methods of a problem family, all through one checked
+    ``evaluate``.  A family supplies ``dim`` and ``_evaluate``, which
+    trusts a 1-D float64 point of length ``dim``."""
+
+    def evaluate(self, x: Vector) -> Evaluation:
+        """The value at ``x``, a finite vector of length ``dim``; the
+        (sub)gradient when asked for."""
+        x = as_vector(x)
+        if len(x) != self.dim:
+            raise ValueError(f"point dimension {len(x)} differs from the problem's {self.dim}")
+        return self._evaluate(x)
+
+    def value(self, x: Vector) -> float:
+        return self.evaluate(x).value
+
+    def gradient(self, x: Vector) -> Vector:
+        return self.evaluate(x).gradient()
+
+    subgradient = gradient
+
+    def oracle(self) -> ModelOracle:
+        return _ProblemOracle(self)
 
 
 def _set_centers(problem) -> None:
@@ -86,7 +104,7 @@ def _set_centers(problem) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class BallSumProblem:
+class BallSumProblem(_Problem):
     """f(x) = sum_k max(||x - a_k|| - r, 0), minimized over a ball.
 
     The objective vanishes on the intersection of the m balls when it is
@@ -112,32 +130,18 @@ class BallSumProblem:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def evaluate(self, x: Vector) -> Evaluation:
+    def _evaluate(self, x: Vector) -> Evaluation:
         """The value at ``x``; the subgradient, when asked for, reuses the
         squared distances of the value's sweep."""
-        return self._evaluate(_checked_point(self, x))
-
-    def _evaluate(self, x: Vector) -> Evaluation:
         r = self.ball_radius
         value, sq, redo = kernels.ballsum_sweep(self.centers, x, r, self.sqnorms)
         return Evaluation(
             value, 0.0, lambda: kernels.ballsum_subgrad_from(self.centers, x, r, sq, redo)
         )
 
-    def value(self, x: Vector) -> float:
-        x = _checked_point(self, x)
-        return kernels.ballsum_value(self.centers, x, self.ball_radius, self.sqnorms)
-
-    def subgradient(self, x: Vector) -> Vector:
-        x = _checked_point(self, x)
-        return kernels.ballsum_subgrad(self.centers, x, self.ball_radius, self.sqnorms)
-
-    def oracle(self) -> ModelOracle:
-        return _ProblemOracle(self)
-
 
 @dataclass(frozen=True, eq=False)
-class MinMaxBallProblem:
+class MinMaxBallProblem(_Problem):
     """f(x) = max_k ||x - a_k||, the smallest enclosing ball objective."""
 
     centers: np.ndarray
@@ -153,12 +157,10 @@ class MinMaxBallProblem:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def evaluate(self, x: Vector) -> Evaluation:
-        """The value at ``x``; the subgradient, when asked for, reuses the
-        farthest center and its distance."""
-        return self._evaluate(_checked_point(self, x))
-
     def _evaluate(self, x: Vector) -> Evaluation:
+        """The value at ``x``; the subgradient, when asked for, is the unit
+        vector toward x from the farthest center (lowest index on ties),
+        the zero vector in the degenerate case x == a_j."""
         val, j = kernels.minmax_value(self.centers, x, self.sqnorms)
         return Evaluation(val, 0.0, lambda: self._toward(x, val, j))
 
@@ -168,16 +170,6 @@ class MinMaxBallProblem:
         g = x - self.centers[j]
         g /= val
         return g
-
-    def value(self, x: Vector) -> float:
-        x = _checked_point(self, x)
-        val, _ = kernels.minmax_value(self.centers, x, self.sqnorms)
-        return val
-
-    def subgradient(self, x: Vector) -> Vector:
-        """Unit vector toward x from the farthest center (lowest index on
-        ties); the zero vector in the degenerate case x == a_j."""
-        return self.evaluate(x).gradient()
 
     def lower_bound(self) -> float:
         """max_{i<j} ||a_i - a_j|| / 2, valid for the unconstrained minimum."""
@@ -189,9 +181,6 @@ class MinMaxBallProblem:
             if d.size:
                 best = max(best, float(d.max()))
         return 0.5 * best
-
-    def oracle(self) -> ModelOracle:
-        return _ProblemOracle(self)
 
 
 def _spread_points(n: int, m: int, seed, lo: float, hi: float) -> np.ndarray:
@@ -213,7 +202,7 @@ def generate_task2(n: int = 1000, m: int = 10, seed=0) -> MinMaxBallProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class PLQuadratic:
+class PLQuadratic(_Problem):
     """f(x) = 0.5 ||A x - b||^2 with its gradient-domination constants.
 
     mu is the smallest positive eigenvalue of A^T A and L the largest, so
@@ -228,20 +217,12 @@ class PLQuadratic:
     x_star: Vector
     f_star: float
 
-    def evaluate(self, x: Vector) -> Evaluation:
-        return self._evaluate(as_vector(x))
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
 
     def _evaluate(self, x: Vector) -> Evaluation:
         return least_squares(self.A, self.b, x)
-
-    def value(self, x: Vector) -> float:
-        return self.evaluate(x).value
-
-    def gradient(self, x: Vector) -> Vector:
-        return self.evaluate(x).gradient()
-
-    def oracle(self) -> ModelOracle:
-        return _ProblemOracle(self)
 
 
 def least_squares(A: np.ndarray, b: Vector, x: Vector) -> Evaluation:

@@ -1,8 +1,8 @@
 """The fused oracle evaluation and the solvers that carry it forward.
 
-Every shipped oracle's ``evaluate`` must give the solvers exactly what the
-problem's separate value and (sub)gradient methods give, in the same noise
-draw order, and each point must be swept (or its residual computed) once.
+Every shipped oracle's ``evaluate`` must give the solvers exactly what
+separate value and (sub)gradient computations give, in the same noise draw
+order, and each point must be swept (or its residual computed) once.
 """
 
 import functools
@@ -36,13 +36,27 @@ DELTA, SMALL_DELTA = 0.05, 0.01
 
 def _problem(kind):
     """(oracle factory, reference factory, feasible) of one shipped oracle
-    family.  The reference is a ``FunctionOracle`` over the problem's own
-    ``value`` and (sub)gradient methods, which sweep each point separately;
-    for composite, its smooth part calls ``least_squares`` once for the
-    value and once more for the gradient."""
-    if kind in ("ballsum", "minmax"):
-        make = generate_task1 if kind == "ballsum" else generate_task2
-        prob = make(n=N_DIM, m=5, seed=1 if kind == "ballsum" else 2)
+    family.  The reference is a ``FunctionOracle`` whose value and
+    (sub)gradient each make their own computation: for the ball sum, the
+    two-pass kernels ``sq_dists`` and ``ballsum_value_from`` /
+    ``ballsum_subgrad_from``; otherwise the problem's own methods, and for
+    composite, ``least_squares`` once for the value and once more for the
+    gradient."""
+    if kind == "ballsum":
+        prob = generate_task1(n=N_DIM, m=5, seed=1)
+
+        def sq_dists(x):
+            return kernels.sq_dists(prob.centers, x, prob.sqnorms, prob.ball_radius**2)
+
+        def value(x):
+            return kernels.ballsum_value_from(sq_dists(x)[0], prob.ball_radius)
+
+        def subgradient(x):
+            return kernels.ballsum_subgrad_from(prob.centers, x, prob.ball_radius, *sq_dists(x))
+
+        return prob.oracle, lambda: FunctionOracle(value, subgradient), prob.feasible
+    if kind == "minmax":
+        prob = generate_task2(n=N_DIM, m=5, seed=2)
         return prob.oracle, lambda: FunctionOracle(prob.value, prob.subgradient), prob.feasible
     if kind == "quadratic":
         rng = np.random.default_rng(3)

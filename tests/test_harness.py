@@ -195,7 +195,7 @@ class TestCSV:
         ids=["task1", "pl-quadratic"],
     )
     def test_trace_roundtrip_full_precision(self, spec, tmp_path):
-        trace, _ = run_single(spec)
+        trace = run_single(spec)
         path = tmp_path / "trace.csv"
         write_csv(trace, path)
 
@@ -228,8 +228,8 @@ class TestCSV:
 class TestRunners:
     def test_run_single_deterministic(self):
         spec = ExperimentSpec(task="task2", n=10, m=4, iteration_grid=(25,), seed=3)
-        t1, _ = run_single(spec, rep_seed=99)
-        t2, _ = run_single(spec, rep_seed=99)
+        t1 = run_single(spec, rep_seed=99)
+        t2 = run_single(spec, rep_seed=99)
         np.testing.assert_array_equal(t1.f_values, t2.f_values)
         np.testing.assert_array_equal(t1.x_hat, t2.x_hat)
 
@@ -297,7 +297,7 @@ def test_composite_outputs_do_not_depend_on_where_A_sits():
         oracle = composite_oracle(
             functools.partial(least_squares, moved, b), L1Penalty(harness._COMPOSITE_WEIGHT)
         )
-        traces.append(harness._solve(spec, None, oracle, FeasibleSet.whole_space())[0])
+        traces.append(harness._solve(spec, None, oracle, FeasibleSet.whole_space()))
     assert traces[0].N_run == 60
     for trace in traces[1:]:
         for f in dataclasses.fields(trace):

@@ -31,9 +31,17 @@ def _unit(rng, n):
     return u / np.linalg.norm(u)
 
 
+def _ballsum(centers, x, radius, sqnorms=None):
+    """(value, subgradient) at ``x`` from one ``ballsum_sweep``, as a
+    ``BallSumProblem`` evaluates them."""
+    value, sq, redo = kernels.ballsum_sweep(centers, x, radius, sqnorms)
+    return value, kernels.ballsum_subgrad_from(centers, x, radius, sq, redo)
+
+
 def _assert_matches_brute(centers, x, radius):
-    """All three kernels agree with the brute references to rel 1e-12, with
-    and without precomputed row norms, and warn about nothing."""
+    """The ball-sum value and subgradient and the min-max kernel agree with
+    the brute references to rel 1e-12, with and without precomputed row
+    norms, and warn about nothing."""
     sqnorms = kernels.row_sqnorms(centers)
     exp_val = brute_ballsum_value(centers, x, radius)
     exp_grad = brute_ballsum_subgrad(centers, x, radius)
@@ -41,15 +49,9 @@ def _assert_matches_brute(centers, x, radius):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for extra in ((), (sqnorms,)):
-            assert kernels.ballsum_value(centers, x, radius, *extra) == pytest.approx(
-                exp_val, rel=1e-12, abs=1e-12
-            )
-            np.testing.assert_allclose(
-                kernels.ballsum_subgrad(centers, x, radius, *extra),
-                exp_grad,
-                rtol=1e-12,
-                atol=1e-12,
-            )
+            value, grad = _ballsum(centers, x, radius, *extra)
+            assert value == pytest.approx(exp_val, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grad, exp_grad, rtol=1e-12, atol=1e-12)
             val, j = kernels.minmax_value(centers, x, *extra)
             assert val == pytest.approx(exp_max, rel=1e-12)
             assert j == exp_j
@@ -59,18 +61,14 @@ def _assert_matches_brute(centers, x, radius):
 def test_ballsum_value_matches_bruteforce(seed):
     centers, x = _random_case(seed)
     expected = brute_ballsum_value(centers, x, 1.0)
-    assert kernels.ballsum_value(centers, x, 1.0) == pytest.approx(
-        expected, rel=1e-12, abs=1e-12
-    )
+    assert _ballsum(centers, x, 1.0)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_ballsum_subgrad_matches_bruteforce(seed):
     centers, x = _random_case(seed)
     expected = brute_ballsum_subgrad(centers, x, 1.0)
-    np.testing.assert_allclose(
-        kernels.ballsum_subgrad(centers, x, 1.0), expected, rtol=1e-12, atol=1e-12
-    )
+    np.testing.assert_allclose(_ballsum(centers, x, 1.0)[1], expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -85,8 +83,9 @@ def test_minmax_matches_bruteforce(seed):
 def test_ballsum_zero_inside_all_balls():
     centers = np.array([[0.1, 0.0], [0.0, -0.1]])
     x = np.zeros(2)
-    assert kernels.ballsum_value(centers, x, 1.0) == 0.0
-    np.testing.assert_array_equal(kernels.ballsum_subgrad(centers, x, 1.0), np.zeros(2))
+    value, grad = _ballsum(centers, x, 1.0)
+    assert value == 0.0
+    np.testing.assert_array_equal(grad, np.zeros(2))
 
 
 def test_minmax_tie_takes_lowest_index():
@@ -136,7 +135,7 @@ def test_point_on_a_center():
         _assert_matches_brute(centers, x, radius)
     single = centers[3:4]
     assert kernels.minmax_value(single, x) == (0.0, 0)
-    np.testing.assert_array_equal(kernels.ballsum_subgrad(single, x, 0.0), np.zeros(6))
+    np.testing.assert_array_equal(_ballsum(single, x, 0.0)[1], np.zeros(6))
 
 
 @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3])
@@ -195,8 +194,9 @@ def test_non_finite_point_is_not_a_minimum(fill):
         grad = kernels.ballsum_subgrad_from(centers, x, 1.0, sq, redo)
         assert np.isnan(value)
         assert not np.isfinite(grad).all()
-        assert np.isnan(kernels.ballsum_value(centers, x, 1.0, sqnorms))
-        assert not np.isfinite(kernels.ballsum_subgrad(centers, x, 1.0, sqnorms)).all()
+        value, grad = _ballsum(centers, x, 1.0, sqnorms)
+        assert np.isnan(value)
+        assert not np.isfinite(grad).all()
         assert not np.isfinite(kernels.minmax_value(centers, x, sqnorms)[0])
 
 
@@ -230,7 +230,6 @@ def _check_one_pass(centers, x, radius):
             assert _bits(value) == _bits(kernels.ballsum_value_from(sq, radius))
             assert [_bits(d) for d in sq1] == [_bits(d) for d in sq]
             assert redo1 == redo
-            assert _bits(kernels.ballsum_value(centers, x, radius, sqnorms)) == _bits(value)
             sq = kernels.sq_dists(centers, x, sqnorms, math.inf)[0]
             best = max(sq)
             val, j = kernels.minmax_value(centers, x, sqnorms)
@@ -309,8 +308,6 @@ def test_row_norms_of_the_wrong_length_are_refused():
         for call in (
             lambda: kernels.sq_dists(centers, x, sqnorms, 1.0),
             lambda: kernels.ballsum_sweep(centers, x, 1.0, sqnorms),
-            lambda: kernels.ballsum_value(centers, x, 1.0, sqnorms),
-            lambda: kernels.ballsum_subgrad(centers, x, 1.0, sqnorms),
             lambda: kernels.minmax_value(centers, x, sqnorms),
         ):
             with pytest.raises(ValueError):

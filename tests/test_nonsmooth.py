@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             NonsmoothConfig(base=base, epsilon=0.1)
 
+    def test_rejects_a_starting_gradient_error(self):
+        # the restart runs at Delta_known from its first step, so a nonzero
+        # base.Delta0 would be read by nothing
+        base = ConvexConfig(x0=np.zeros(2), Delta0=0.5)
+        with pytest.raises(ValueError, match="Delta_known"):
+            NonsmoothConfig(base=base, epsilon=0.1, Delta_known=2.0)
+
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError):
             NonsmoothConfig(base=self._base(), epsilon=0.0)
@@ -263,7 +270,9 @@ def test_restart_decisions_replay(task, n, m, seed, L0, L_class_ratio, Delta, ep
     """Both phases of every restart, rebuilt from the trace and the records:
     phase 1 from half the previous L to its pass at L1, phase 2's trials at
     2^i max(L1, L_class) where neither exit fired, and the exit itself at
-    the recorded L_k = 2^p max(L1, L_class)."""
+    the recorded L_k = 2^p max(L1, L_class).  When Delta covers the
+    family's class constant (2 for task2, whose smooth part is 0, and 2m
+    for task1), every p_used is within p_bound(Delta, eps, L_class)."""
     prob = task(n=n, m=m, seed=seed)
     oracle, feasible = prob.oracle(), prob.feasible
     L_class = None if L_class_ratio is None else L_class_ratio * L0
@@ -277,6 +286,8 @@ def test_restart_decisions_replay(task, n, m, seed, L0, L_class_ratio, Delta, ep
         f, g = anchor.value, anchor.gradient()
         L, p = trace.L_hist[k], rec.p_used
         assert rec.k == k and rec.final_L == L
+        if L_class is not None and Delta >= (2.0 if task is generate_task2 else 2.0 * m):
+            assert p <= p_bound(Delta, eps, L_class)
 
         L1 = 0.5 * (L0 if k == 0 else trace.L_hist[k - 1])
         for n1 in range(1, trace.inner_hist[k] + 1):  # phase 1

@@ -42,10 +42,22 @@ class TestBallSum:
         with pytest.raises(ValueError):
             BallSumProblem(np.array([[1.0, 0.0]]), ball_radius=0.0)
 
-    def test_dimension_check(self):
-        prob = BallSumProblem(np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            prob.value(np.zeros(3))
+
+@pytest.mark.parametrize("method", ["evaluate", "value", "gradient", "subgradient"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BallSumProblem(np.array([[1.0, 0.0]])),
+        lambda: MinMaxBallProblem(np.array([[1.0, 0.0]])),
+        lambda: pl_quadratic_make(np.eye(2), np.ones(2)),
+    ],
+    ids=["BallSumProblem", "MinMaxBallProblem", "PLQuadratic"],
+)
+def test_dimension_check(make, method):
+    """Every public method of every family refuses a point of the wrong
+    length with the library's own message."""
+    with pytest.raises(ValueError, match="point dimension 3 differs from the problem's 2"):
+        getattr(make(), method)(np.zeros(3))
 
 
 @pytest.mark.parametrize("cls", [BallSumProblem, MinMaxBallProblem])
