@@ -33,7 +33,6 @@ __all__ = [
     "norm",
     "checked_gradient",
     "checked_value",
-    "checked_trial_point",
     "DimensionMismatchError",
     "UnsupportedCombinationError",
     "CertificateUnavailableError",
@@ -144,18 +143,6 @@ def checked_gradient(g: Vector, iteration: int) -> Vector:
     if not all_finite(g):
         raise NonFiniteOracleError("gradient", iteration)
     return g
-
-
-def checked_trial_point(x: Vector, iteration: int) -> Vector:
-    """Return the trial point ``x``, refusing NaN or infinite entries.
-
-    The solvers call this only when the squared step length from the
-    (finite) anchor is not finite, which every non-finite trial point
-    makes it; a finite point whose step overflowed passes.
-    """
-    if not all_finite(x):
-        raise NonFiniteTrialPointError(x, iteration)
-    return x
 
 
 def as_vector(x) -> Vector:
@@ -311,8 +298,8 @@ def _trial(oracle, x_k, anchor, g, x_next, k):
     """
     d = x_next - x_k
     sq = float(d.dot(d))
-    if not math.isfinite(sq):
-        checked_trial_point(x_next, k)
+    if not math.isfinite(sq) and not all_finite(x_next):  # a finite x_next may overflow sq
+        raise NonFiniteTrialPointError(x_next, k)
     trial = oracle.evaluate(x_next)
     checked_value(trial.value, k)
     psi = float(g.dot(d))
@@ -328,17 +315,23 @@ def _acceptance_rhs(f_k, psi, L, half_sq, step, Delta, delta):
     return f_k + psi + L * half_sq + Delta * step + delta
 
 
-def backtrack(attempt, L, delta, Delta, Delta_max, cap, k):
-    """The solvers' shared double-until-accepted loop.
+def backtrack(attempt, triple, Delta_min, Delta_max, cap, k):
+    """The solvers' shared halve-then-double rhythm.
 
-    Calls ``attempt(L, delta, Delta)`` until it returns something other
-    than None, growing the constants to (2L, 2 delta, min(2 Delta,
-    Delta_max)) after each rejection: ``Delta_max`` is infinite for a
-    freely growing Delta and equal to ``Delta`` for a frozen one.  Returns
-    (the attempt's result, L, delta, Delta, trials) for the accepting
-    call.  Raises ``NonTerminationError`` at iteration ``k`` after ``cap``
-    rejections.
+    Halves the last accepted (L, delta, Delta) ``triple``, then calls
+    ``attempt(L, delta, Delta)`` until it returns something other than
+    None, doubling all three after each rejection.  Delta is kept in
+    [``Delta_min``, ``Delta_max``]: (0, inf) lets it move freely, and
+    (D, D) freezes it at D.  Returns (the attempt's result, L, delta,
+    Delta, trials) for the accepting call.  Raises ``NonTerminationError``
+    at iteration ``k`` after ``cap`` rejections.
     """
+    L, delta, Delta = triple
+    L *= 0.5
+    delta *= 0.5
+    Delta *= 0.5
+    if Delta < Delta_min:
+        Delta = Delta_min
     trials = 0
     while trials < cap:
         trials += 1

@@ -93,7 +93,8 @@ class ExperimentSpec:
     and ``delta`` are injected oracle noise levels, ``epsilon`` the target
     accuracy of the restarted procedure (default 0.05 when unset).  A
     solver the task does not run with is refused here, before any data is
-    generated.
+    generated, and so is a field the solver would ignore: ``epsilon``
+    unless the solver is nonsmooth, and a nonzero ``delta0`` for it.
     """
 
     task: str
@@ -143,6 +144,10 @@ class ExperimentSpec:
                 )
         if self.epsilon is not None and not self.epsilon > 0:
             raise ValueError("epsilon must be positive when given")
+        if self.epsilon is not None and self.solver != "nonsmooth":
+            raise ValueError(f"solver {self.solver!r} does not read epsilon; leave it unset")
+        if self.solver == "nonsmooth" and self.delta0 > 0:
+            raise ValueError("solver 'nonsmooth' does not read delta0 (it assumes exact values)")
         if self.mode not in NoisyOracle.MODES:
             raise ValueError(f"mode must be one of {NoisyOracle.MODES}")
         if self.solver == "nonsmooth" and (self.Delta > 0 or self.delta > 0):
@@ -369,7 +374,7 @@ def _working_levels(spec: ExperimentSpec) -> tuple:
     )
 
 
-def _solve(spec: ExperimentSpec, problem, oracle, feasible, frozen: bool = False):
+def _solve(spec: ExperimentSpec, oracle, feasible, frozen: bool = False):
     """Run the configured solver; returns its trace.
     ``frozen`` freezes algo2's gradient-error estimate at its start value."""
     N = max(spec.iteration_grid)
@@ -410,33 +415,18 @@ def run_single(spec: ExperimentSpec, rep_seed: Optional[int] = None):
     """One solver run at N = max(grid); returns its trace."""
     if rep_seed is None:
         rep_seed = _rep_seeds(spec)[0]
-    return _solve(spec, *_prepare(spec, rep_seed))
+    return _solve(spec, *_prepare(spec, rep_seed)[1:])
 
 
-def _estimates_at(trace, spec: ExperimentSpec, extra: float) -> dict:
-    """Per-checkpoint estimate plus auxiliary quality readings.
-
-    ``extra`` is subtracted from the values: the lower bound for the
-    geometric tasks, f* for pl-quadratic and zero for composite.  The
-    geometric tasks estimate with the certificate and read the best value
-    on the side; the others estimate with the best value and read the last.
-    """
-    grid = spec.iteration_grid
-    if trace.N_run == 0:  # algo2 at the noise floor from the start
-        gap0 = float(trace.f0 - extra)
-        return {"estimate": [gap0] * len(grid), "aux_gap": [gap0] * len(grid),
-                "time_ms": [0.0] * len(grid)}
-    best = trace.f_best_running() - extra
-    if spec.task in ("task1", "task2"):
-        estimate, aux = trace.cert_hist, best
-    else:
-        estimate, aux = best, trace.f_values - extra
+def _at_grid(trace, grid, start: float, *series) -> list:
+    """Each per-step array of ``series``, then ``trace.elapsed_ms``, read at
+    step min(g, N_run) - 1 for each grid value g: one list per array.  An
+    empty run (algo2 at the noise floor from the start) reads ``start``
+    and 0 ms."""
+    if trace.N_run == 0:
+        return [[start] * len(grid)] * len(series) + [[0.0] * len(grid)]
     ks = [min(g, trace.N_run) - 1 for g in grid]
-    return {
-        "estimate": [float(estimate[k]) for k in ks],
-        "aux_gap": [float(aux[k]) for k in ks],
-        "time_ms": [float(trace.elapsed_ms[k]) for k in ks],
-    }
+    return [[float(a[k]) for k in ks] for a in (*series, trace.elapsed_ms)]
 
 
 def _table(grid, est: np.ndarray, times: np.ndarray, aux: dict) -> ResultTable:
@@ -469,20 +459,17 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
     for r, rep_seed in enumerate(seeds):
         problem, oracle, feasible = _prepare(spec, rep_seed)
-        trace = _solve(spec, problem, oracle, feasible)
-        if spec.task in ("task1", "task2"):
+        trace = _solve(spec, oracle, feasible)
+        best = trace.f_best_running()
+        if spec.task in ("task1", "task2"):  # the certificate, and the best value on the side
             lb = 0.0 if spec.task == "task1" else problem.lower_bound()
-            cells = _estimates_at(trace, spec, lb)
+            series = (trace.cert_hist, best - lb)
             f_hat_final.append(problem.value(trace.x_hat))
-        elif spec.task == "pl-quadratic":
-            cells = _estimates_at(trace, spec, problem.f_star)
-            f_hat_final.append(float(trace.f_final))
-        else:
-            cells = _estimates_at(trace, spec, 0.0)
-            f_hat_final.append(float(trace.f_values[-1]))
-        est[r] = cells["estimate"]
-        gaps[r] = cells["aux_gap"]
-        times[r] = cells["time_ms"]
+        else:  # the best value, and the last on the side
+            lb = 0.0 if problem is None else problem.f_star  # composite has no problem object
+            series = (best - lb, trace.f_values - lb)
+            f_hat_final.append(float(trace.f_values[-1] if trace.N_run else trace.f0))
+        est[r], gaps[r], times[r] = _at_grid(trace, grid, float(trace.f0 - lb), *series)
 
     return _table(
         grid,
@@ -498,13 +485,13 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
     Both contraction products are evaluated on the adaptive trace (the
     adaptive one also on its own recorded estimates), so the comparison
     isolates what adapting the error estimate buys at equal data.  Both
-    runs start their estimate at ``Delta`` and have no certificate stop, so
-    a spec that sets ``epsilon``, ``Delta0`` or ``delta0`` is refused.
+    runs start their estimate at ``Delta``, so a spec that sets ``Delta0``
+    or ``delta0`` is refused.
     """
     if spec.solver != "algo2":
         raise ValueError("the comparison protocol is defined for solver algo2")
-    for name in ("epsilon", "Delta0", "delta0"):
-        if getattr(spec, name):  # unset is None or zero
+    for name in ("Delta0", "delta0"):
+        if getattr(spec, name):
             raise ValueError(f"compare does not read {name}; leave it unset")
     seeds = _rep_seeds(spec)
     grid = spec.iteration_grid
@@ -515,7 +502,7 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
     for r, rep_seed in enumerate(seeds):
         problem = _quadratic_problem(spec, rep_seed)
         tr_a, tr_na = (
-            _solve(spec, problem, _maybe_noisy(problem.oracle(), spec, rep_seed + 1), None, frozen)
+            _solve(spec, _maybe_noisy(problem.oracle(), spec, rep_seed + 1), None, frozen)
             for frozen in (False, True)
         )
         bound_a = pl_rate_bound(tr_a, problem.mu, spec.Delta)
@@ -526,11 +513,7 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
         na_gaps.append(float(tr_na.f_final - problem.f_star))
         factor_traces.append(_factors(tr_a, problem.mu, spec.Delta, tr_a.Delta_hist))
         gap0 = problem.value(np.zeros(spec.n)) - problem.f_star
-        prefix = np.cumprod(factor_traces[-1])
-        for i, g in enumerate(grid):
-            k = min(g, tr_a.N_run) - 1
-            est[r, i] = prefix[k] * gap0 if tr_a.N_run else gap0
-            times[r, i] = float(tr_a.elapsed_ms[k]) if tr_a.N_run else 0.0
+        est[r], times[r] = _at_grid(tr_a, grid, gap0, np.cumprod(factor_traces[-1]) * gap0)
 
     return _table(
         grid,

@@ -181,7 +181,7 @@ def nonsmooth_minimize(
             return None
 
         (x_next, trial, Delta, step, L), _, _, _, trials = backtrack(
-            attempt, 0.5 * triple[0], 0.0, Delta_fixed, Delta_fixed, cap, k
+            attempt, triple, Delta_fixed, Delta_fixed, cap, k
         )
         return x_next, trial, L, 0.0, Delta, step, trials
 

@@ -69,7 +69,8 @@ class PLConfig:
     is stated under that clamp).  ``adapt_Delta=False`` freezes the
     estimate at ``Delta0`` for nonadaptive comparison runs.  The dichotomy
     report's threshold constant C is an argument of ``pl_dichotomy_check``:
-    the run itself does not use it.
+    the run itself does not use it.  ``store_iterates`` costs one n-vector
+    per step, as in ``ConvexConfig``.
     """
 
     x0: Vector
@@ -154,35 +155,21 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     """
     if oracle.has_composite:
         raise UnsupportedCombinationError("algo2 does not take a composite part")
-    x = config.x0
+    x = x0 = config.x0
     ev = oracle.evaluate(x)
-    f_x = ev.value
-    f0 = f_x
-    best_f = f_x
-
-    L_cur = config.L0
+    f_x = f0 = best_f = ev.value
     Delta_cap = math.inf if config.Delta_cap is None else config.Delta_cap
-    Dl_cur = min(config.Delta0, Delta_cap)
-    dl_cur = config.delta0
-    Delta_max = Delta_cap if config.adapt_Delta else Dl_cur  # a frozen estimate never grows
+    triple = (config.L0, config.delta0, min(config.Delta0, Delta_cap))
+    # a frozen estimate stays at its start value
+    Delta_min, Delta_max = (0.0, Delta_cap) if config.adapt_Delta else (triple[2], triple[2])
+    termination = TERM_COMPLETED
+    failure = None
     rec = Recorder(x, config.store_iterates)
-
-    def _partial(term, gn_last):
-        return PLTrace(
-            **rec.columns(_COLUMNS),
-            x0=config.x0,
-            f0=f0,
-            termination=term,
-            final_g_norm=gn_last,
-            clamp=config.Delta_cap,
-            x_final=x,
-            f_final=f_x,
-            best_f=best_f,
-            iterates=rec.iterates,
-        )
 
     def attempt(L, delta, Delta):
         # reads x, ev, g_vec, gn, f_x and k of the current iteration
+        if gn <= Delta:
+            return TERM_FLOOR
         h = pl_step_size(L, Delta, gn)
         x_next = g_vec * -h
         x_next += x  # x - h*g bitwise, as in convex.model_step
@@ -199,29 +186,39 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         gn = norm(g_vec)
         if not math.isfinite(gn):  # a non-finite entry, or only an overflow
             checked_gradient(g_vec, k)
-        L_cur *= 0.5
-        dl_cur *= 0.5
-        if config.adapt_Delta:
-            Dl_cur *= 0.5
-        if gn <= Dl_cur:
-            return _partial(TERM_FLOOR, gn)
         try:
-            result, L_cur, dl_cur, Dl_cur, inner = backtrack(
-                attempt, L_cur, dl_cur, Dl_cur, Delta_max, config.max_inner_per_iter, k
+            result, L, delta, Delta, inner = backtrack(
+                attempt, triple, Delta_min, Delta_max, config.max_inner_per_iter, k
             )
         except NonTerminationError as err:
-            err.partial_trace = _partial(TERM_COMPLETED, gn)
-            raise
+            failure = err
+            break
         if result is TERM_FLOOR:
-            return _partial(TERM_FLOOR, gn)
-        x_next, trial, h = result
-        f_next = trial.value
-        rec.add(x_next, f_next, gn, h, L_cur, Dl_cur, dl_cur, inner)
-        if f_next < best_f:
-            best_f = f_next
-        x, f_x, ev = x_next, f_next, trial
+            termination = TERM_FLOOR
+            break
+        x, ev, h = result
+        triple = (L, delta, Delta)
+        f_x = ev.value
+        rec.add(x, f_x, gn, h, L, Delta, delta, inner)
+        if f_x < best_f:
+            best_f = f_x
 
-    return _partial(TERM_COMPLETED, norm(ev.gradient()))
+    trace = PLTrace(
+        **rec.columns(_COLUMNS),
+        x0=x0,
+        f0=f0,
+        termination=termination,
+        final_g_norm=norm(ev.gradient()),
+        clamp=config.Delta_cap,
+        x_final=x,
+        f_final=f_x,
+        best_f=best_f,
+        iterates=rec.iterates,
+    )
+    if failure is not None:
+        failure.partial_trace = trace
+        raise failure
+    return trace
 
 
 def _factors(trace: PLTrace, mu: float, Delta: float, Delta_hist) -> np.ndarray:

@@ -20,9 +20,10 @@ from modelgrad.core import (
     norm,
     project_ball,
 )
+from modelgrad import pl
 from modelgrad.convex import ConvexConfig, ConvexTrace, convex_minimize
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from modelgrad.pl import PLConfig, pl_minimize
+from modelgrad.pl import TERM_FLOOR, PLConfig, pl_minimize
 
 
 def test_as_vector_accepts_lists_and_scalars():
@@ -186,8 +187,56 @@ class TestBacktrack:
             tried.append((L, delta, Delta))
             return "accepted" if len(tried) == 4 else None
 
-        assert backtrack(attempt, 1.0, 0.5, 0.25, 1.0, 10, 0) == ("accepted", 8.0, 4.0, 1.0, 4)
+        assert backtrack(attempt, (2.0, 1.0, 0.5), 0.0, 1.0, 10, 0) == ("accepted", 8.0, 4.0, 1.0, 4)
         assert tried == [(1.0, 0.5, 0.25), (2.0, 1.0, 0.5), (4.0, 2.0, 1.0), (8.0, 4.0, 1.0)]
+
+    def test_first_trial_is_at_the_halved_triple(self):
+        tried = []
+
+        def attempt(L, delta, Delta):
+            tried.append((L, delta, Delta))
+            return "accepted"
+
+        assert backtrack(attempt, (3.0, 0.25, 0.5), 0.0, np.inf, 10, 0) == (
+            "accepted", 1.5, 0.125, 0.25, 1)
+        assert tried == [(1.5, 0.125, 0.25)]
+
+    # the restart passes its fixed Delta as both bounds; the last accepted
+    # Delta is 0 after a smooth exit and the fixed one after a delta-term exit
+    @pytest.mark.parametrize("last_Delta", [0.0, 0.3])
+    def test_equal_bounds_freeze_Delta(self, last_Delta):
+        tried = []
+
+        def attempt(L, delta, Delta):
+            tried.append((L, delta, Delta))
+            return "accepted" if len(tried) == 3 else None
+
+        result = backtrack(attempt, (4.0, 0.0, last_Delta), 0.3, 0.3, 10, 0)
+        assert result == ("accepted", 8.0, 0.0, 0.3, 3)
+        assert tried == [(2.0, 0.0, 0.3), (4.0, 0.0, 0.3), (8.0, 0.0, 0.3)]
+        with pytest.raises(NonTerminationError) as info:
+            backtrack(lambda *t: None, (4.0, 0.0, last_Delta), 0.3, 0.3, 2, 5)
+        assert (info.value.iteration, info.value.triple, info.value.inner_calls) == (
+            5, (8.0, 0.0, 0.3), 2)
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    def test_algo2_floor_on_the_first_attempt_takes_no_step(self, monkeypatch, adapt):
+        # ||g(x0)|| = 1 and the first attempt's estimate is 1 (2 halved, or
+        # 1 frozen): the floor stops the run before any step size is computed
+        calls = []
+        step_size = pl.pl_step_size
+
+        def counted(*args):
+            calls.append(args)
+            return step_size(*args)
+
+        monkeypatch.setattr(pl, "pl_step_size", counted)
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        trace = pl_minimize(
+            PLConfig(x0=np.array([1.0, 0.0]), Delta0=2.0 if adapt else 1.0,
+                     adapt_Delta=adapt, N=5), oracle)
+        assert (trace.termination, trace.N_run, trace.final_g_norm) == (TERM_FLOOR, 0, 1.0)
+        assert calls == []
 
     @given(st.floats(1e-6, 1e6), st.integers(1, 12))
     @settings(max_examples=50, deadline=None)

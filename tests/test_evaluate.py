@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modelgrad import harness, kernels, problems
@@ -164,8 +164,8 @@ def _passes(oracle, x, y, L, delta, Delta):
 def _assert_decisions_replay(oracle, trace, step):
     """Every accepted step of ``trace`` passes the inequality at its recorded
     (L, delta, Delta), and every earlier trial, ``step(x, L, Delta, g)`` at
-    the halved constants, fails it."""
-    assert trace.inner_hist.max() > 1
+    the halved constants, fails it.  A draw whose run rejected no trial
+    tests no rejection, so it does not count as an example."""
     for k in range(trace.N_run):
         x_k, x_next = trace.iterates[k], trace.iterates[k + 1]
         L, delta, Delta = trace.L_hist[k], trace.delta_hist[k], trace.Delta_hist[k]
@@ -174,9 +174,13 @@ def _assert_decisions_replay(oracle, trace, step):
         for _ in range(int(trace.inner_hist[k]) - 1):
             L, delta, Delta = 0.5 * L, 0.5 * delta, 0.5 * Delta
             assert not _passes(oracle, x_k, step(x_k, L, Delta, g), L, delta, Delta)
+    assume(trace.inner_hist.max(initial=0) > 1)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([None, 0.05, 0.5]))
+# ||A^T b||_inf = 0.052 is below the l1 weight, so x0 = 0 is the minimizer
+# and every step is accepted on its first trial
+@example(seed=2632, m=2, radius=None)
 @settings(max_examples=30, deadline=None)
 def test_composite_decisions_match_the_oracle_model(seed, m, radius):
     """algo1's model step with an l1 part, on seeded least-squares problems,

@@ -74,6 +74,32 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(task="task1", mode="gaussian")
 
+    # each of these runs exactly as it would without the field
+    @pytest.mark.parametrize(
+        "kw, message",
+        [(dict(task="task2", solver="algo1", epsilon=0.1), "solver 'algo1' does not read epsilon"),
+         (dict(task="pl-quadratic", epsilon=0.1), "solver 'algo2' does not read epsilon"),
+         (dict(task="composite", epsilon=0.1), "solver 'algo1' does not read epsilon"),
+         (dict(task="task2", delta0=0.1), "'nonsmooth' does not read delta0")],
+        ids=["algo1-epsilon", "algo2-epsilon", "composite-epsilon", "nonsmooth-delta0"],
+    )
+    def test_fields_the_solver_ignores_refused(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**kw)
+
+    def test_fields_the_solver_reads_kept(self):
+        assert ExperimentSpec(task="task1", epsilon=0.1).epsilon == 0.1
+        assert ExperimentSpec(task="task1", solver="algo1", delta0=0.1).delta0 == 0.1
+        assert ExperimentSpec(task="task1", Delta0=0.1).Delta0 == 0.1
+
+    def test_cli_refuses_epsilon_for_algo1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main(["solve", "--task", "task2", "--solver", "algo1", "--epsilon", "0.1",
+                   "--n", "5", "--m", "3", "--iters", "5", "--out", str(out)])
+        assert rc == 2
+        assert "does not read epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("task", ["task1", "task2"])
     @pytest.mark.parametrize("noise", [{"Delta": 0.1}, {"delta": 0.1}])
     def test_noisy_restarted_runs_refused_up_front(self, task, noise):
@@ -143,7 +169,7 @@ class TestConfigFiles:
             L0=0.7,
             Delta=0.125,
             delta=0.0625,
-            epsilon=0.031,
+            delta0=0.031,
         )
         path = tmp_path / "run.cfg"
         write_config(spec, path)
@@ -265,13 +291,18 @@ class TestRunners:
             compare_adaptive_nonadaptive(spec)
 
     # compare freezes its estimate at Delta and has no certificate stop; it
-    # used to run on and print the same estimates whatever these fields said
+    # used to run on and print the same estimates whatever these fields said.
+    # algo2 never reads epsilon, so the spec itself refuses that one.
     @pytest.mark.parametrize("field, value", [("epsilon", 0.5), ("Delta0", 0.01), ("delta0", 0.3)])
     def test_compare_refuses_fields_it_ignores(self, monkeypatch, field, value):
         def no_data(*args):
             raise AssertionError("data drawn before the spec was checked")
 
         monkeypatch.setattr(harness, "_quadratic_problem", no_data)
+        if field == "epsilon":
+            with pytest.raises(ValueError, match="solver 'algo2' does not read epsilon"):
+                ExperimentSpec(task="pl-quadratic", n=5, m=7, **{field: value})
+            return
         spec = ExperimentSpec(task="pl-quadratic", n=5, m=7, **{field: value})
         with pytest.raises(ValueError, match=f"compare does not read {field}"):
             compare_adaptive_nonadaptive(spec)
@@ -297,7 +328,7 @@ def test_composite_outputs_do_not_depend_on_where_A_sits():
         oracle = composite_oracle(
             functools.partial(least_squares, moved, b), L1Penalty(harness._COMPOSITE_WEIGHT)
         )
-        traces.append(harness._solve(spec, None, oracle, FeasibleSet.whole_space()))
+        traces.append(harness._solve(spec, oracle, FeasibleSet.whole_space()))
     assert traces[0].N_run == 60
     for trace in traces[1:]:
         for f in dataclasses.fields(trace):
@@ -412,7 +443,9 @@ class TestCLI:
         rc = main(["compare", "--config", str(cfg), "--n", "5", "--m", "7", "--iters", "25",
                    "--reps", "2", "--Delta", "0.1", "--out", str(out)])
         assert rc == 2
-        assert f"compare does not read {line.split()[0]}" in capsys.readouterr().err
+        field = line.split()[0]
+        reader = "solver 'algo2'" if field == "epsilon" else "compare"  # the spec refuses epsilon
+        assert f"{reader} does not read {field}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_compare_smoke(self, tmp_path):
