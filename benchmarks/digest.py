@@ -7,14 +7,15 @@ comes out:
 * the restarted method's ``RestartRecord`` list;
 * the harness's result tables with their ``aux``, but not ``mean_time_ms``;
 * for a ``NonTerminationError``, its iteration, triple, ``inner_calls`` and
-  partial trace.
+  partial trace;
+* the CLI's trace CSV without its ``elapsed_ms`` column.
 
 The cases: task1 and task2 with the restarted method and with algo1;
 noisy algo1 in both noise modes; algo2 with an adaptive and a frozen
 error estimate; noisy composite; the adaptive/frozen comparison; algo2 at
-the noise floor from the start; and trial-cap failures of all three
-solvers at several caps.  Run it against two checkouts and diff the
-output:
+the noise floor from the start; trial-cap failures of all three solvers
+at several caps; and ``modelgrad solve`` from a config file with flags on
+top.  Run it against two checkouts and diff the output:
 
     PYTHONPATH=src python3 benchmarks/digest.py > after.txt
     PYTHONPATH=../other/src python3 benchmarks/digest.py > before.txt
@@ -23,8 +24,12 @@ Usage: python3 benchmarks/digest.py [--n 60] [--m 6] [--iters 150] [--reps 2] [-
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
+import tempfile
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from modelgrad import (
     run_experiment,
     run_single,
 )
+from modelgrad import cli
 
 SKIPPED = {"elapsed_ms", "mean_time_ms"}  # timings differ from run to run
 
@@ -156,6 +162,22 @@ def _cap_failures(args, seed):
     return out
 
 
+def _cli_config(args, seed):
+    """``solve`` from a config file that is valid alone, with flags that pick
+    algo1 and add gradient noise: its exit code and its trace CSV without
+    the ``elapsed_ms`` column (the last)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "trace.csv")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(f"task = task2\nn = {args.n}\nm = {args.m}\nseed = {seed}\n"
+                     f"iteration_grid = {','.join(map(str, args.grid))}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["solve", "--config", cfg, "--solver", "algo1", "--Delta", "0.05",
+                           "--out", out])
+        with open(out, encoding="utf-8") as fh:
+            return rc, [row.rsplit(",", 1)[0] for row in fh.read().splitlines()]
+
+
 CASES = {
     "task1-restarted": lambda a, s: (_restarted(generate_task1, a, s),
                                      _harness(a, s, task="task1")),
@@ -178,6 +200,7 @@ CASES = {
         _spec(a, seed=s, task="pl-quadratic", Delta=1e-3)),
     "floor-at-start": _floor_at_start,
     "cap-failures": _cap_failures,
+    "cli-config": _cli_config,
 }
 
 

@@ -11,84 +11,16 @@ families, an experiment harness, and a CLI sit on top.
 
 import types as _types
 
-from .core import (
-    CertificateUnavailableError,
-    DimensionMismatchError,
-    Evaluation,
-    FeasibleSet,
-    FunctionOracle,
-    InconsistentTraceError,
-    ModelOracle,
-    NonFiniteOracleError,
-    NonFiniteTrialPointError,
-    NonTerminationError,
-    UnsupportedCombinationError,
-    as_vector,
-    project_ball,
-)
-from .convex import (
-    ConvexConfig,
-    ConvexTrace,
-    certificate_bound,
-    convex_minimize,
-    inner_call_budget,
-    model_step,
-)
-from .nonsmooth import (
-    STOP_DELTA_TERM,
-    STOP_SMOOTH,
-    NonsmoothConfig,
-    RestartRecord,
-    complexity_estimate,
-    nonsmooth_minimize,
-    p_bound,
-)
-from .pl import (
-    TERM_COMPLETED,
-    TERM_FLOOR,
-    PLConfig,
-    PLDichotomyReport,
-    PLTrace,
-    SmallGradientError,
-    pl_dichotomy_check,
-    pl_inexact_floor,
-    pl_minimize,
-    pl_rate_bound,
-    pl_rate_bound_nonadaptive,
-    pl_step_size,
-)
-from .problems import (
-    BallSumProblem,
-    CompositeOracle,
-    L1Penalty,
-    MinMaxBallProblem,
-    NoisyOracle,
-    PLQuadratic,
-    composite_oracle,
-    generate_task1,
-    generate_task2,
-    pl_quadratic_make,
-)
-from .harness import (
-    SOLVERS,
-    TASKS,
-    ConfigError,
-    ExperimentSpec,
-    ResultTable,
-    compare_adaptive_nonadaptive,
-    default_solver,
-    finite_diff_check,
-    parse_config,
-    parse_grid,
-    run_experiment,
-    run_single,
-    write_config,
-    write_csv,
-)
+from .core import *
+from .convex import *
+from .nonsmooth import *
+from .pl import *
+from .problems import *
+from .harness import *
 
 __version__ = "0.1.0"
 
-# every name imported above, and the version
+# every name the modules export, and the version
 __all__ = [
     name
     for name, value in globals().items()

@@ -22,9 +22,9 @@ from .harness import (
     TASKS,
     ConfigError,
     ExperimentSpec,
+    _read_config,
     compare_adaptive_nonadaptive,
     finite_diff_check,
-    parse_config,
     parse_grid,
     run_experiment,
     run_single,
@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", choices=TASKS)
         add_sizes_and_noise(p)
         p.add_argument("--iters", help="iteration grid, e.g. 200,400 or 200..1000")
-        p.add_argument("--reps", type=int, help="replications per grid cell")
+        p.add_argument("--reps", type=int, dest="replications", metavar="REPS",
+                       help="replications per grid cell")
         p.add_argument("--out", help="output CSV path")
 
     for name, help_text in (("solve", "single run, write the trace CSV"),
@@ -72,37 +73,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, help="target accuracy")
     p_cmp = sub.add_parser("compare", help="adaptive vs nonadaptive pairing")
     add_experiment(p_cmp)
-    p_cmp.set_defaults(solver="algo2", epsilon=None)  # compare runs algo2 only
+    p_cmp.set_defaults(solver="algo2")  # compare runs algo2 only
     p_check = sub.add_parser("check", help="oracle gradient and noise checks")
     add_sizes_and_noise(p_check)
     return parser
 
 
 def _build_spec(args, *, default_task=None) -> ExperimentSpec:
-    values = {}
-    if args.config:
-        base = parse_config(args.config)
-        values = {f.name: getattr(base, f.name) for f in fields(ExperimentSpec)}
-    overrides = {
-        "task": args.task,
-        "n": args.n,
-        "m": args.m,
-        "replications": args.reps,
-        "seed": args.seed,
-        "solver": args.solver,
-        "Delta": args.Delta,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-    }
+    """One spec from the config file's fields, then every flag that names a
+    spec field, then ``default_task`` if neither names a task; the spec
+    checks the merged values once."""
+    values = _read_config(args.config) if args.config else {}
+    for f in fields(ExperimentSpec):
+        if (flag := getattr(args, f.name, None)) is not None:
+            values[f.name] = flag
     if args.iters:
-        overrides["iteration_grid"] = parse_grid(args.iters)
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if "task" not in values or values["task"] is None:
-        if default_task is None:
-            raise ConfigError("a task is required (--task or config file)")
-        values["task"] = default_task
+        values["iteration_grid"] = parse_grid(args.iters)
+    values.setdefault("task", default_task)
+    if values["task"] is None:
+        raise ConfigError("a task is required (--task or config file)")
     return ExperimentSpec(**values)
 
 

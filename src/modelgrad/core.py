@@ -26,13 +26,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _BOUNDARY = 1.0 + 4.0 * _EPS
 
 __all__ = [
-    "Vector",
-    "all_finite",
     "as_vector",
-    "aligned_empty",
-    "norm",
-    "checked_gradient",
-    "checked_value",
     "DimensionMismatchError",
     "UnsupportedCombinationError",
     "CertificateUnavailableError",

@@ -207,11 +207,12 @@ def _format_grid(grid) -> str:
     return ",".join(str(int(g)) for g in grid)
 
 
-def parse_config(path) -> ExperimentSpec:
-    """Read a `key = value` file into an ExperimentSpec.
+def _read_config(path) -> dict:
+    """The typed fields of a `key = value` file.
 
     `#` starts a comment anywhere on a line.  Keys must name spec fields;
-    errors cite the 1-based line number.
+    syntax, key and value errors raise ConfigError citing the 1-based
+    line number.
     """
     values = {}
     known = {f.name for f in fields(ExperimentSpec)}
@@ -242,12 +243,16 @@ def parse_config(path) -> ExperimentSpec:
                 raise ConfigError(
                     f"bad value for {key!r}: {rhs!r} ({exc})", lineno
                 ) from exc
+    return values
+
+
+def parse_config(path) -> ExperimentSpec:
+    """Read a `key = value` file (see ``_read_config``) into an
+    ExperimentSpec; the spec's own checks raise its ValueError."""
+    values = _read_config(path)
     if "task" not in values:
         raise ConfigError("missing required key 'task'")
-    try:
-        return ExperimentSpec(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentSpec(**values)
 
 
 def write_config(spec: ExperimentSpec, path) -> None:

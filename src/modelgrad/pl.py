@@ -293,33 +293,12 @@ def pl_dichotomy_check(
     if Delta < 0 or gap0 < 0:
         raise ValueError("Delta and gap0 must be nonnegative")
 
-    threshold = C * Delta
-    norms = trace.g_norms
-    first_violation = None
-    for i, gn in enumerate(norms):
-        if gn < threshold:
-            first_violation = i
-            break
-    if first_violation is None and np.isfinite(trace.final_g_norm):
-        if trace.final_g_norm < threshold:
-            first_violation = len(norms)
-
-    ratio = (C - 1.0) / (C + 1.0)
-    factor = 1.0 - (mu / L) * ratio**2
+    norms = trace.g_norms  # and the final norm, when one was observed
+    if np.isfinite(trace.final_g_norm):
+        norms = np.append(norms, trace.final_g_norm)
+    below = np.flatnonzero(norms < C * Delta)
+    factor = 1.0 - (mu / L) * ((C - 1.0) / (C + 1.0)) ** 2
     floor = (C + 1.0) ** 2 * Delta**2 / (2.0 * mu)
-    if first_violation is None:
-        n_steps = trace.N_run
-        return PLDichotomyReport(
-            branch="linear-rate",
-            bound=factor**n_steps * gap0,
-            first_violation=None,
-            factor=factor,
-            floor=floor,
-        )
-    return PLDichotomyReport(
-        branch="noise-floor",
-        bound=floor,
-        first_violation=first_violation,
-        factor=factor,
-        floor=floor,
-    )
+    if below.size == 0:
+        return PLDichotomyReport("linear-rate", factor**trace.N_run * gap0, None, factor, floor)
+    return PLDichotomyReport("noise-floor", floor, int(below[0]), factor, floor)

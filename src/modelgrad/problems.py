@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    _EPS,
     Evaluation,
     FeasibleSet,
     ModelOracle,
@@ -38,7 +39,6 @@ __all__ = [
     "generate_task2",
     "PLQuadratic",
     "pl_quadratic_make",
-    "least_squares",
     "NoisyOracle",
     "L1Penalty",
     "CompositeOracle",
@@ -271,7 +271,7 @@ class NoisyOracle(ModelOracle):
     """Wraps an oracle with bounded value and gradient perturbations.
 
     Values drop by at most ``delta`` (uniform), gradients move by at most
-    ``Delta`` in norm.  Every evaluation draws fresh noise: two evaluations
+    ``Delta`` in norm, up to the rounding of adding the noise.  Every evaluation draws fresh noise: two evaluations
     at the same point see different perturbations, while one evaluation's
     ``gradient()`` returns the same vector each time.  ``evaluate`` draws
     the value noise when it is called and the gradient noise when the
@@ -341,7 +341,10 @@ class NoisyOracle(ModelOracle):
             scale = self.Delta * self._rng.random()
         g_noisy = g + scale * u
         err = norm(g_noisy - g)
-        if not err <= self.Delta * (1.0 + 1e-12):
+        limit = self.Delta * (1.0 + 1e-12)
+        # the sum rounds each entry by up to half an ulp of g_noisy, which
+        # exceeds a Delta far below ||g||; its norm is taken only then
+        if not (err <= limit or err <= limit + _EPS * norm(g_noisy)):
             raise ValueError(
                 f"gradient perturbation of norm {err!r} leaves the envelope "
                 f"Delta = {self.Delta!r}"

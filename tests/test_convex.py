@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modelgrad.convex import (
     ConvexConfig,
@@ -35,6 +36,12 @@ def quadratic_oracle(scale=1.0):
     return FunctionOracle(
         lambda x: 0.5 * scale * float(x @ x), lambda x: scale * x
     )
+
+
+def _nonzero_points(n):
+    """Points of [-1, 1]^n away from the origin."""
+    return hnp.arrays(np.float64, n, elements=st.floats(-1, 1)).filter(
+        lambda v: np.linalg.norm(v) > 1e-3)
 
 
 class TestModelStep:
@@ -314,6 +321,51 @@ class TestCertificate:
         assert gap > 0.5 * Delta**2 * 0.99
         assert ball.cert_hist[-1] >= gap
         assert np.isnan(convex_minimize(config, noisy, WHOLE).cert_hist).all()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(0, 4),
+        st.floats(1e-2, 1e2),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exact_certificate_bounds_the_gap(self, seed, n, extra_rows, L0, N):
+        # least squares on the whole space, R^2 = V(x*, x0) = ||x* - x0||^2 / 2
+        rng = np.random.default_rng(seed)
+        prob = pl_quadratic_make(rng.standard_normal((n + extra_rows, n)),
+                                 rng.standard_normal(n + extra_rows))
+        x0 = rng.standard_normal(n)
+        R = float(np.linalg.norm(prob.x_star - x0)) / np.sqrt(2.0)
+        trace = convex_minimize(ConvexConfig(x0=x0, L0=L0, N=N, R=R), prob.oracle(), WHOLE)
+        assert trace.cert_hist[-1] >= prob.value(trace.x_hat) - prob.f_star
+
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(_nonzero_points(n), _nonzero_points(n))),
+        st.floats(0.0, 0.5),
+        st.sampled_from(NoisyOracle.MODES),
+        st.integers(1, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(vectors=(np.eye(5)[0],) * 2, Delta=0.01, mode="adversarial-fixed-direction",
+             N=400, seed=0)
+    @example(vectors=(np.eye(5)[0],) * 2, Delta=0.1, mode="adversarial-fixed-direction",
+             N=400, seed=0)
+    @example(vectors=(np.eye(5)[0],) * 2, Delta=0.3, mode="adversarial-fixed-direction",
+             N=400, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_noisy_certificate_bounds_the_gap_on_the_ball(self, vectors, Delta, mode, N, seed):
+        # f = ||x||^2 / 2 on the unit ball from x0 (clipped to the ball),
+        # noise of size Delta along ``direction`` or uniform on the sphere;
+        # the examples are the counterexample above, where the certificate
+        # reads 0.02, 0.2 and 0.6 against true gaps 5e-5, 0.005 and 0.045
+        start, direction = vectors
+        x0 = start / max(1.0, float(np.linalg.norm(start)))
+        noisy = NoisyOracle(quadratic_oracle(), Delta=Delta, mode=mode, direction=direction,
+                            seed=seed)
+        config = ConvexConfig(x0=x0, Delta0=Delta, N=N, R=float(np.linalg.norm(x0)) / np.sqrt(2.0))
+        trace = convex_minimize(config, noisy, FeasibleSet.ball(np.zeros(len(x0)), 1.0))
+        assert trace.cert_hist[-1] >= 0.5 * float(trace.x_hat @ trace.x_hat)
 
     def test_unknown_value_gap_gives_nan(self):
         # values 0.01 low, the gap left unset: nothing bounds the true gap,

@@ -488,6 +488,56 @@ class TestCLI:
         assert rc == 0
         assert out.exists()
 
+    # the file's fields and the flags merge before the spec's one check, so
+    # a flag can complete or repair a file that is invalid alone
+    @pytest.mark.parametrize(
+        "command, lines, flags, as_flags",
+        [
+            ("solve", "task = task1\nDelta = 0.1\n", ["--solver", "algo1"],
+             ["--task", "task1", "--Delta", "0.1", "--solver", "algo1"]),
+            ("solve", "task = task2\nsolver = algo1\nepsilon = 0.1\n", ["--solver", "nonsmooth"],
+             ["--task", "task2", "--epsilon", "0.1", "--solver", "nonsmooth"]),
+            ("solve", "", ["--task", "task1"], ["--task", "task1"]),
+            ("table1", "", [], ["--task", "task1"]),
+        ],
+        ids=["flag-repairs-noise", "flag-repairs-epsilon", "flag-names-task", "default-task"],
+    )
+    def test_flags_complete_a_config_file(self, tmp_path, capsys, command, lines, flags,
+                                          as_flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines + "n = 8\nm = 3\niteration_grid = 10,20\nreplications = 2\n")
+        merged, flags_only = tmp_path / "merged.csv", tmp_path / "flags.csv"
+        assert main([command, "--config", str(cfg), *flags, "--out", str(merged)]) == 0
+        assert main([command, *as_flags, "--n", "8", "--m", "3", "--iters", "10,20",
+                     "--reps", "2", "--out", str(flags_only)]) == 0
+
+        def without_time(path):  # the time column is the last in both formats
+            return [row.rsplit(",", 1)[0] for row in path.read_text().split("\n")]
+
+        assert without_time(merged) == without_time(flags_only)
+        capsys.readouterr()
+
+    def test_flag_that_breaks_a_valid_config_file_is_refused(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_data(*a, **kw):
+            raise AssertionError("data generated for a spec that should be refused")
+
+        monkeypatch.setattr("modelgrad.harness.generate_task2", no_data)
+        cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+        cfg.write_text("task = task2\nn = 8\nm = 3\n")
+        rc = main(["solve", "--config", str(cfg), "--Delta", "0.1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the restarted solver 'nonsmooth' needs exact values")
+        assert "use --solver algo1" in err
+        assert not out.exists()
+
+    def test_config_file_value_error_cites_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("task = task1\nn = seven\n")
+        assert main(["solve", "--config", str(cfg), "--n", "8"]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 2: bad value for 'n'")
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("task = task9\n")

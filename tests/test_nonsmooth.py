@@ -315,3 +315,18 @@ def test_restart_decisions_replay(task, n, m, seed, L0, L_class_ratio, Delta, ep
             assert rec.stop_reason == STOP_SMOOTH and trace.Delta_hist[k] == 0.0
             assert trace.f_values[k] <= f + float(g.dot(d)) + L * (0.5 * float(d.dot(d)))
     assert trace.cert_hist[-1] >= prob.value(trace.x_hat) - trace.best_f
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 80),
+       st.floats(0.01, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_restart_certificate_bounds_the_gap(seed, n, N, eps):
+    """With two centers the min-max value is half their distance, so
+    ``lower_bound()`` is f* and f(x_hat) - f* is the true gap; the
+    minimizer, their midpoint, lies in the unit ball (R^2 = 1/2), and
+    Delta = 2 is task2's class constant."""
+    prob = generate_task2(n=n, m=2, seed=seed)
+    base = ConvexConfig(x0=np.zeros(n), N=N, R=math.sqrt(0.5))
+    config = NonsmoothConfig(base=base, epsilon=eps, Delta_known=2.0)
+    trace = nonsmooth_minimize(config, prob.oracle(), prob.feasible)[0]
+    assert trace.cert_hist[-1] >= prob.value(trace.x_hat) - prob.lower_bound()

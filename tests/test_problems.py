@@ -293,6 +293,14 @@ class TestNoisyOracle:
         with pytest.raises(ValueError, match="envelope"):
             noisy.evaluate(np.ones(4)).gradient()
 
+    def test_rounding_beside_a_large_gradient_stays_within_the_envelope(self):
+        # (1 + 1e-9) - 1 reads 1.00000008e-9: the sum's rounding, not the
+        # noise, used to break the envelope check for a Delta far below ||g||
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        noisy = NoisyOracle(oracle, Delta=1e-9, mode="adversarial-fixed-direction",
+                            direction=[1.0])
+        assert noisy.evaluate(np.ones(1)).gradient().tolist() == [1.0 + 1e-9]
+
     def test_validation(self):
         prob = self._base()
         with pytest.raises(ValueError):
