@@ -14,8 +14,9 @@ The cases: task1 and task2 with the restarted method and with algo1;
 noisy algo1 in both noise modes; algo2 with an adaptive and a frozen
 error estimate; noisy composite; the adaptive/frozen comparison; algo2 at
 the noise floor from the start; trial-cap failures of all three solvers
-at several caps; and ``modelgrad solve`` from a config file with flags on
-top.  Run it against two checkouts and diff the output:
+at several caps; ``modelgrad solve`` from a config file with flags on
+top; and algo1 runs that the certificate stops early.  Run it against two
+checkouts and diff the output:
 
     PYTHONPATH=src python3 benchmarks/digest.py > after.txt
     PYTHONPATH=../other/src python3 benchmarks/digest.py > before.txt
@@ -38,11 +39,13 @@ from modelgrad import (
     ExperimentSpec,
     FeasibleSet,
     FunctionOracle,
+    L1Penalty,
     NoisyOracle,
     NonsmoothConfig,
     NonTerminationError,
     PLConfig,
     compare_adaptive_nonadaptive,
+    composite_oracle,
     convex_minimize,
     generate_task1,
     generate_task2,
@@ -178,6 +181,29 @@ def _cli_config(args, seed):
             return rc, [row.rsplit(",", 1)[0] for row in fh.read().splitlines()]
 
 
+def _early_stop(args, seed):
+    """algo1 with R and epsilon at gamma = 0 on a quadratic, exact and with
+    a known value gap, and on the quadratic plus 0.1 ||x||_1.  Each epsilon
+    is the certificate the same run without one reads at step N/2, so every
+    run stops by then."""
+    prob = _quadratic(args, seed)
+    dist = float(np.linalg.norm(prob.x_star))
+    l1_dist = float(prob.b @ prob.b) / 0.2  # 0.1 ||x*||_1 <= F(x*) <= F(0) = ||b||^2 / 2
+    makers = (
+        (prob.oracle, 0.0, dist),
+        (lambda: NoisyOracle(prob.oracle(), delta=1e-3, seed=seed + 1), 1e-3, dist),
+        (lambda: composite_oracle(prob.oracle().evaluate, L1Penalty(0.1)), 0.0, l1_dist),
+    )
+    whole, out = FeasibleSet.whole_space(), []
+    for make, delta0, R_dist in makers:
+        cfg = dict(x0=np.zeros(args.n), delta0=delta0, N=args.N, R=R_dist / 2**0.5)
+        eps = convex_minimize(ConvexConfig(**cfg), make(), whole).cert_hist[args.N // 2]
+        out.append(convex_minimize(ConvexConfig(**cfg, epsilon=eps), make(), whole))
+    if not all(trace.stopped_early for trace in out):
+        raise AssertionError(f"a run of seed {seed} did not stop early")
+    return out
+
+
 CASES = {
     "task1-restarted": lambda a, s: (_restarted(generate_task1, a, s),
                                      _harness(a, s, task="task1")),
@@ -201,6 +227,7 @@ CASES = {
     "floor-at-start": _floor_at_start,
     "cap-failures": _cap_failures,
     "cli-config": _cli_config,
+    "early-stop": _early_stop,
 }
 
 

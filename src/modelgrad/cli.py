@@ -201,17 +201,18 @@ def _cmd_check(args) -> int:
     Delta = 0.3 if args.Delta is None else args.Delta
     delta = 0.05 if args.delta is None else args.delta
     noisy = NoisyOracle(quad.oracle(), Delta=Delta, delta=delta, seed=seed)
-    worst_g, worst_v = 0.0, 0.0
+    worst_g, worst_v, inside = 0.0, 0.0, True
     for _ in range(500):
         x = rng.standard_normal(n)
         ev = noisy.evaluate(x)
         g_err = float(np.linalg.norm(ev.gradient() - quad.gradient(x)))
+        inside &= noisy.within_envelope(g_err, ev.gradient())
         v_err = quad.value(x) - ev.value
         worst_g = max(worst_g, g_err)
         worst_v = max(worst_v, abs(v_err) if v_err < 0 else 0.0, v_err - delta)
     ok &= _report(
         "noise envelopes",
-        worst_g <= Delta * (1 + 1e-12) and worst_v <= 0.0,
+        inside and worst_v <= 0.0,
         f"max grad err {worst_g:.4g} vs Delta={Delta}",
     )
 

@@ -50,11 +50,10 @@ class ConvexConfig:
     """Run parameters for the adaptive model-step method.
 
     ``R`` bounds the divergence from the start point to a minimizer,
-    V(x*, x0) <= R^2.  When both ``R`` and ``epsilon`` are set and the
-    oracle's lower model is tight (gamma = 0), the run stops as soon as
-    the online certificate drops to ``epsilon``.  ``store_iterates`` keeps
-    one n-vector per step in the trace (about 800 MB at n = 1e5, N = 1000);
-    the harness and the CLI pass False.
+    V(x*, x0) <= R^2.  When ``epsilon`` is set, the run stops as soon as
+    the certificate, where finite, reaches ``epsilon``.  ``store_iterates``
+    keeps one n-vector per step in the trace (about 800 MB at n = 1e5,
+    N = 1000); the harness and the CLI pass False.
     """
 
     x0: Vector
@@ -87,13 +86,13 @@ class ConvexTrace(Trace):
 
     ``cert_hist[k]`` is the online certificate after step k, (R^2 + sum of
     (delta_i + Delta_i * step_i) / L_i) / S plus the oracle's known value
-    gap; NaN without ``R``, and NaN when the oracle's values are inexact
-    (``exact_values`` False) with ``known_delta`` None.  For gamma > 0
-    (injected gradient noise) the bound also has a gamma * ||x_i - x*|| /
-    L_i term per step.  On a ball the certificate bounds it by gamma *
-    diam(Q), twice gamma times the radius, so it stays a bound, if a loose
-    one; on the whole space it is NaN.  ``certificate_bound`` gives the
-    tight version, given x*.
+    gap; NaN without ``R`` or with an unknown gap (``known_delta`` None).
+    For gamma > 0 (injected gradient noise) the bound also has a gamma *
+    ||x_i - x*|| / L_i term per step.  On a ball the certificate bounds it
+    by gamma * diam(Q), twice gamma times the radius, so it stays a bound,
+    if a loose one; on the whole space it is NaN.  ``certificate_bound``
+    gives the tight version, given x*.  ``stopped_early``: the certificate,
+    where finite, reached ``epsilon`` and ended the run.
     """
 
     step_norms: np.ndarray
@@ -128,8 +127,9 @@ def model_step(
         raise ValueError("oracle gradient dimension differs from the iterate")
     v = g / -L
     v += x_k
-    if oracle.has_composite:
-        v = oracle.composite_prox(v, 1.0 / L)
+    prox = oracle.composite_prox
+    if prox is not None:
+        v = prox(v, 1.0 / L)
     return feasible.project(v)
 
 
@@ -140,9 +140,9 @@ def convex_minimize(
 
     Each iteration alternates subproblem solves with acceptance tests
     through ``backtrack``, which halves the last accepted triple once and
-    doubles it after each rejection.  The early stop fires only when the
-    online certificate is sound: R and epsilon configured, gamma = 0, and
-    the value inexactness known (zero for exact oracles).
+    doubles it after each rejection.  The run stops early when the
+    certificate, where finite, reaches epsilon: that needs R, a known value
+    gap and, for gamma > 0, a bounded feasible set.
     """
     cap = config.max_inner_per_iter
 
@@ -188,10 +188,7 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     weighted_sum = np.zeros_like(x0)
     noise_sum = 0.0  # running sum of (delta_k + Delta_k * step_k) / L_k
 
-    gap = 0.0 if oracle.exact_values else oracle.known_delta
-    if gap is None:  # values inexact by an unknown amount: no bound, no early stop
-        gap = math.nan
-    early = config.R is not None and config.epsilon is not None and oracle.gamma == 0
+    gap = math.nan if oracle.known_delta is None else oracle.known_delta
     R_sq = None if config.R is None else config.R**2
     if oracle.gamma > 0:  # gamma * ||x_k - x*|| is at most gamma * diam(Q)
         gap = (gap + oracle.gamma * 2.0 * feasible.radius) if feasible.radius else math.nan
@@ -217,7 +214,7 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
             best_x = x
         cert = (R_sq + noise_sum) / S + gap if R_sq is not None else math.nan
         rec.add(x, f, L, delta, Delta, trials, step, cert)
-        if early and cert <= config.epsilon:
+        if config.epsilon is not None and cert <= config.epsilon:
             stopped_early = True
             break
     columns = rec.columns(_COLUMNS)
@@ -257,7 +254,7 @@ def certificate_bound(
     """
     if not R >= 0:
         raise ValueError("R must be nonnegative")
-    if gamma < 0 or delta < 0:
+    if not (gamma >= 0 and delta >= 0):
         raise ValueError("gamma and delta must be nonnegative")
     if trace.N_run == 0:
         raise ValueError("empty trace")
@@ -305,7 +302,7 @@ def inner_call_budget(
         raise ValueError("N must be at least 1")
     terms = []
     for num, den in ((L, L0), (delta, delta0), (Delta, Delta0)):
-        if num < 0 or den < 0:
+        if not (num >= 0 and den >= 0):
             raise ValueError("budget parameters must be nonnegative")
         if num > 0 and den > 0:
             terms.append(max(0.0, math.log2(2.0 * num / den)))

@@ -296,9 +296,7 @@ def _trial(oracle, x_k, anchor, g, x_next, k):
         raise NonFiniteTrialPointError(x_next, k)
     trial = oracle.evaluate(x_next)
     checked_value(trial.value, k)
-    psi = float(g.dot(d))
-    if oracle.has_composite:
-        psi += trial.h - anchor.h
+    psi = float(g.dot(d)) + (trial.h - anchor.h)
     return trial, psi, sq, math.sqrt(sq)
 
 
@@ -447,28 +445,22 @@ class ModelOracle:
 
         psi(y, x) = <g(x), y - x> + h(y) - h(x)
 
-    where h is zero unless ``has_composite``; an oracle with a composite
-    part also provides ``composite_prox``.  The oracle keeps no state
-    between queries: the only memoized gradient is the one an
-    ``Evaluation`` holds for its caller.
+    where h is zero without a composite part.  ``composite_prox(v,
+    weight)``, argmin_u h(u) + ||u - v||^2 / (2 * weight), is None exactly
+    when there is none.  ``known_delta`` bounds how far a value may lie
+    below the true one: 0.0 for exact values, None when the gap is unknown.
+    ``gamma`` is the lower model's slack per unit distance.  The oracle
+    keeps no state between queries: the only memoized gradient is the one
+    an ``Evaluation`` holds for its caller.
     """
 
     gamma: float = 0.0
-    known_delta: Optional[float] = None
-    exact_values: bool = True
-    has_composite: bool = False
+    known_delta: Optional[float] = 0.0
+    composite_prox: Optional[Callable[[Vector, float], Vector]] = None
 
     def evaluate(self, x: Vector) -> Evaluation:
         """Query the oracle at ``x``: the value now, the gradient on demand."""
         raise NotImplementedError
-
-    def composite_prox(self, v: Vector, weight: float) -> Vector:
-        """argmin_u h(u) + ||u - v||^2 / (2 * weight)."""
-        if self.has_composite:
-            raise UnsupportedCombinationError(
-                "this oracle has a composite part but no proximal operator"
-            )
-        return v
 
 
 class FunctionOracle(ModelOracle):
@@ -488,6 +480,8 @@ class FunctionOracle(ModelOracle):
     ):
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
+        if not gamma >= 0:  # a negative gamma would cancel a wrapper's noise term
+            raise ValueError("gamma must be nonnegative")
         self.gamma = float(gamma)
 
     def evaluate(self, x: Vector) -> Evaluation:

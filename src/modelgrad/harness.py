@@ -142,8 +142,8 @@ class ExperimentSpec:
                     f"inexactness level {name} must be nonnegative and finite, "
                     f"got {getattr(self, name)!r}"
                 )
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError("epsilon must be positive when given")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite when given")
         if self.epsilon is not None and self.solver != "nonsmooth":
             raise ValueError(f"solver {self.solver!r} does not read epsilon; leave it unset")
         if self.solver == "nonsmooth" and self.delta0 > 0:
@@ -538,8 +538,8 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
 def finite_diff_check(oracle: ModelOracle, x: Vector, h: float = 1e-6) -> float:
     """Max relative mismatch between the oracle gradient and central
     differences of the value at x."""
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("h must be positive and finite")
     x = as_vector(x)
     g = oracle.evaluate(x).gradient()
     worst = 0.0

@@ -96,7 +96,7 @@ def p_bound(Delta: float, epsilon: float, L: float) -> int:
     """
     if not (epsilon > 0 and L > 0):
         raise ValueError("epsilon and L must be positive")
-    if Delta < 0:
+    if not Delta >= 0:
         raise ValueError("Delta must be nonnegative")
     threshold = 1.0 + 16.0 * Delta * Delta / (epsilon * L)
     p = 1
@@ -114,7 +114,7 @@ def complexity_estimate(L: float, R: float, Delta: float, epsilon: float) -> int
     """
     if not (L > 0 and epsilon > 0):
         raise ValueError("L and epsilon must be positive")
-    if R < 0 or Delta < 0:
+    if not (R >= 0 and Delta >= 0):
         raise ValueError("R and Delta must be nonnegative")
     iters = 4.0 * L * R * R / epsilon + 64.0 * Delta * Delta * R * R / epsilon**2
     factor = max(1.0, math.log2(1.0 + 16.0 * Delta * Delta / (epsilon * L)))
@@ -136,7 +136,7 @@ def nonsmooth_minimize(
     next (L, 0, Delta_known) of ``backtrack``'s doubling, whichever phase
     ran out: the error does not say whether phase 1 ever passed.
     """
-    if not oracle.exact_values:
+    if oracle.known_delta != 0:
         raise ValueError("the restarted method requires exact objective values")
     if oracle.gamma != 0:
         raise ValueError("the restarted method requires a tight lower model")

@@ -135,7 +135,7 @@ def pl_step_size(L: float, Delta: float, g_tilde: float) -> float:
     """
     if not (L > 0 and math.isfinite(L)):
         raise ValueError("L must be positive and finite")
-    if Delta < 0:
+    if not Delta >= 0:
         raise ValueError("Delta must be nonnegative")
     if not g_tilde > Delta:
         raise SmallGradientError(
@@ -153,7 +153,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     that happens on the growth after the trial cap's last rejection.  The
     damped step has no composite part, so an oracle with one is refused.
     """
-    if oracle.has_composite:
+    if oracle.composite_prox is not None:
         raise UnsupportedCombinationError("algo2 does not take a composite part")
     x = x0 = config.x0
     ev = oracle.evaluate(x)
@@ -224,7 +224,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
 def _factors(trace: PLTrace, mu: float, Delta: float, Delta_hist) -> np.ndarray:
     if not mu > 0:
         raise ValueError("mu must be positive")
-    if Delta < 0:
+    if not Delta >= 0:
         raise ValueError("Delta must be nonnegative")
     if trace.N_run == 0:
         return np.ones(0)
@@ -259,7 +259,7 @@ def pl_inexact_floor(mu: float, L: float, delta: float) -> float:
     stall further certified progress."""
     if not (mu > 0 and L > 0):
         raise ValueError("mu and L must be positive")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     return 3.0 * delta * L / mu
 
@@ -290,7 +290,7 @@ def pl_dichotomy_check(
         )
     if not (mu > 0 and L > 0 and C > 1):
         raise ValueError("mu, L must be positive and C must exceed 1")
-    if Delta < 0 or gap0 < 0:
+    if not (Delta >= 0 and gap0 >= 0):
         raise ValueError("Delta and gap0 must be nonnegative")
 
     norms = trace.g_norms  # and the final norm, when one was observed

@@ -293,8 +293,8 @@ class NoisyOracle(ModelOracle):
         seed=0,
         direction: Optional[Vector] = None,
     ):
-        if Delta < 0 or delta < 0:
-            raise ValueError("Delta and delta must be nonnegative")
+        if not (0 <= Delta < math.inf and 0 <= delta < math.inf):
+            raise ValueError("Delta and delta must be nonnegative and finite")
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
         self.inner = inner
@@ -304,10 +304,8 @@ class NoisyOracle(ModelOracle):
         self._rng = np.random.default_rng(seed)
         self._direction = None if direction is None else _unit(direction)
         self.gamma = inner.gamma + self.Delta
-        inner_gap = 0.0 if inner.exact_values else inner.known_delta
-        self.known_delta = None if inner_gap is None else inner_gap + self.delta
-        self.exact_values = self.delta == 0.0 and inner.exact_values
-        self.has_composite = inner.has_composite
+        self.known_delta = None if inner.known_delta is None else inner.known_delta + self.delta
+        self.composite_prox = inner.composite_prox
 
     def evaluate(self, x: Vector) -> Evaluation:
         ev = self.inner.evaluate(x)
@@ -341,26 +339,27 @@ class NoisyOracle(ModelOracle):
             scale = self.Delta * self._rng.random()
         g_noisy = g + scale * u
         err = norm(g_noisy - g)
-        limit = self.Delta * (1.0 + 1e-12)
-        # the sum rounds each entry by up to half an ulp of g_noisy, which
-        # exceeds a Delta far below ||g||; its norm is taken only then
-        if not (err <= limit or err <= limit + _EPS * norm(g_noisy)):
+        if not self.within_envelope(err, g_noisy):
             raise ValueError(
                 f"gradient perturbation of norm {err!r} leaves the envelope "
                 f"Delta = {self.Delta!r}"
             )
         return g_noisy
 
-    def composite_prox(self, v: Vector, weight: float) -> Vector:
-        return self.inner.composite_prox(v, weight)
+    def within_envelope(self, err: float, g_noisy: Vector) -> bool:
+        """Whether ``err`` = ||g_noisy - g|| is within Delta (1 + 1e-12) plus
+        the rounding of the sum g_noisy, half an ulp per entry, which exceeds
+        a Delta far below ||g||.  The norm of g_noisy is taken only then."""
+        limit = self.Delta * (1.0 + 1e-12)
+        return err <= limit or err <= limit + _EPS * norm(g_noisy)
 
 
 class L1Penalty:
     """h(x) = weight * ||x||_1 with the soft-threshold prox."""
 
     def __init__(self, weight: float = 1.0):
-        if not weight >= 0:
-            raise ValueError("weight must be nonnegative")
+        if not 0 <= weight < math.inf:
+            raise ValueError("weight must be nonnegative and finite")
         self.weight = float(weight)
 
     def value(self, x: Vector) -> float:
@@ -383,8 +382,6 @@ class CompositeOracle(ModelOracle):
     gradient_fn).evaluate``.  ``evaluate`` computes the penalty once per
     point.
     """
-
-    has_composite = True
 
     def __init__(self, smooth_evaluate: Callable[[Vector], Evaluation], penalty):
         self._evaluate_smooth = smooth_evaluate

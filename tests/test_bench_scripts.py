@@ -38,7 +38,7 @@ def test_digest_prints_one_hash_per_case():
                      "task2-algo1-noisy-random-sphere",
                      "task2-algo1-noisy-adversarial-fixed-direction",
                      "algo2-adaptive", "algo2-frozen", "composite-noisy", "compare",
-                     "floor-at-start", "cap-failures", "cli-config"]
+                     "floor-at-start", "cap-failures", "cli-config", "early-stop"]
     for row in rows:
         assert len(row) == 2 and re.fullmatch("[0-9a-f]{64}", row[1]), row
     assert len({row[1] for row in rows}) == len(rows)

@@ -371,7 +371,7 @@ class TestCertificate:
         # values 0.01 low, the gap left unset: nothing bounds the true gap,
         # where the certificate used to leave the gap out (1.5e-5 at step 20)
         class LowValues(ModelOracle):
-            exact_values = False
+            known_delta = None
 
             def evaluate(self, x):
                 return Evaluation(0.5 * float(x @ x) - 0.01, 0.0, lambda: x.copy())
@@ -380,6 +380,34 @@ class TestCertificate:
         trace = convex_minimize(config, LowValues(), WHOLE)
         assert trace.N_run == 20 and not trace.stopped_early
         assert np.isnan(trace.cert_hist).all()
+
+    def test_stated_value_gap_enters_the_certificate(self):
+        # values 0.05 low, and stated so in known_delta alone: every
+        # certificate carries the 0.05, so epsilon = 0.02 never stops the run
+        # (a certificate without it would stop at step 6, at 0.0159)
+        class LowValues(ModelOracle):
+            known_delta = 0.05
+
+            def evaluate(self, x):
+                return Evaluation(0.5 * float(x @ x) - 0.05, 0.0, lambda: x.copy())
+
+        config = ConvexConfig(x0=np.array([1.0, 0.0]), N=50, R=1 / np.sqrt(2), epsilon=0.02)
+        trace = convex_minimize(config, LowValues(), WHOLE)
+        assert trace.N_run == 50 and not trace.stopped_early
+        assert trace.cert_hist.min() >= 0.05
+        assert trace.cert_hist[-1] == pytest.approx(0.5 / trace.S_N + 0.05)
+
+    @pytest.mark.parametrize("mode", NoisyOracle.MODES)
+    def test_noisy_run_on_the_ball_stops_at_epsilon(self, mode):
+        # gamma = 0.01 > 0: on the unit ball the certificate is finite, the
+        # gamma term bounded by gamma * diam(Q) = 0.02, so it can stop the run
+        noisy = NoisyOracle(quadratic_oracle(), Delta=0.01, mode=mode, seed=0)
+        config = ConvexConfig(x0=np.array([0.6, 0.8]), Delta0=0.01, N=400, R=1 / np.sqrt(2),
+                              epsilon=0.05)
+        trace = convex_minimize(config, noisy, FeasibleSet.ball(np.zeros(2), 1.0))
+        assert trace.stopped_early and trace.N_run < 400
+        assert trace.cert_hist[-1] <= 0.05
+        assert 0.5 * float(trace.x_hat @ trace.x_hat) <= 0.05  # f(x_hat) - f*
 
 
 class TestInnerCallBudget:

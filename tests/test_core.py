@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -12,18 +13,31 @@ from modelgrad.core import (
     DimensionMismatchError,
     FeasibleSet,
     FunctionOracle,
-    ModelOracle,
     NonTerminationError,
-    UnsupportedCombinationError,
     as_vector,
     backtrack,
     norm,
     project_ball,
 )
 from modelgrad import pl
-from modelgrad.convex import ConvexConfig, ConvexTrace, convex_minimize
-from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from modelgrad.pl import TERM_FLOOR, PLConfig, pl_minimize
+from modelgrad.convex import (
+    ConvexConfig,
+    ConvexTrace,
+    certificate_bound,
+    convex_minimize,
+    inner_call_budget,
+)
+from modelgrad.harness import finite_diff_check
+from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize, p_bound
+from modelgrad.pl import (
+    TERM_FLOOR,
+    PLConfig,
+    pl_dichotomy_check,
+    pl_inexact_floor,
+    pl_minimize,
+    pl_rate_bound,
+)
+from modelgrad.problems import L1Penalty, NoisyOracle
 
 
 def test_as_vector_accepts_lists_and_scalars():
@@ -335,12 +349,46 @@ class TestModelOracle:
         x *= 5
         assert oracle.evaluate(x).gradient().tolist() == [5.0, 5.0]
 
-    def test_composite_prox_requires_override(self):
-        class Broken(ModelOracle):
-            has_composite = True
 
-        with pytest.raises(UnsupportedCombinationError):
-            Broken().composite_prox(np.zeros(2), 1.0)
+def _half_square(**kw):
+    return FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), **kw)
+
+
+def _convex_trace():
+    return convex_minimize(ConvexConfig(x0=np.ones(2), N=3), _half_square(),
+                           FeasibleSet.whole_space())
+
+
+def _pl_trace():
+    return pl_minimize(PLConfig(x0=np.ones(2), N=3, Delta_cap=0.1), _half_square())
+
+
+# Each check must fail for NaN: written ``x < 0`` it let NaN through, and
+# the function returned a bound that ignored the parameter.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: certificate_bound(_convex_trace(), 1.0, gamma=math.nan),
+        lambda: certificate_bound(_convex_trace(), 1.0, delta=math.nan),
+        lambda: inner_call_budget(10, 1.0, 0.0, 0.0, math.nan, 0.0, 0.0),
+        lambda: p_bound(math.nan, 0.1, 1.0),
+        lambda: pl_dichotomy_check(_pl_trace(), 1.0, 1.0, math.nan, 2.0, 1.0),
+        lambda: pl_rate_bound(_pl_trace(), 1.0, math.nan),
+        lambda: pl_inexact_floor(1.0, 1.0, math.nan),
+        lambda: NoisyOracle(_half_square(), Delta=math.nan),
+        lambda: NoisyOracle(_half_square(), delta=math.nan),
+        lambda: finite_diff_check(_half_square(), np.ones(2), h=math.inf),
+        lambda: L1Penalty(math.inf),
+        lambda: _half_square(gamma=math.nan),
+        lambda: _half_square(gamma=-1.0),  # it would cancel a NoisyOracle's Delta
+    ],
+    ids=["certificate-gamma", "certificate-delta", "budget-L", "p-bound-Delta",
+         "dichotomy-Delta", "rate-Delta", "floor-delta", "noisy-Delta", "noisy-delta",
+         "finite-diff-h-inf", "l1-weight-inf", "gamma-nan", "gamma-negative"],
+)
+def test_parameters_outside_their_range_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def _modules_with_exports():

@@ -6,6 +6,7 @@ import pytest
 
 from modelgrad import cli, harness
 from modelgrad.cli import main
+from modelgrad.convex import ConvexConfig
 from modelgrad.core import FeasibleSet, NonTerminationError, aligned_empty
 from modelgrad.harness import (
     TABLE_COLUMNS,
@@ -22,7 +23,14 @@ from modelgrad.harness import (
     write_config,
     write_csv,
 )
-from modelgrad.problems import L1Penalty, composite_oracle, least_squares, pl_quadratic_make
+from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
+from modelgrad.problems import (
+    L1Penalty,
+    composite_oracle,
+    generate_task1,
+    least_squares,
+    pl_quadratic_make,
+)
 
 
 class TestParseGrid:
@@ -132,8 +140,9 @@ class TestExperimentSpec:
             (["--solver", "algo1", "--Delta", "nan"], None, "Delta must be nonnegative and finite"),
             (["--solver", "algo1", "--delta", "inf"], None, "delta must be nonnegative and finite"),
             ([], "task = task1\nL0 = nan\n", "L0 must be positive and finite"),
+            (["--epsilon", "inf"], None, "epsilon must be positive and finite"),
         ],
-        ids=["Delta-nan", "delta-inf", "config-L0-nan"],
+        ids=["Delta-nan", "delta-inf", "config-L0-nan", "epsilon-inf"],
     )
     def test_cli_refuses_non_finite_constants_before_generating(
         self, tmp_path, capsys, monkeypatch, args, config, message
@@ -284,6 +293,27 @@ class TestRunners:
         np.testing.assert_array_equal(
             table.aux["adaptive_gap"], table.aux["nonadaptive_gap"]
         )
+
+    def test_composite_estimates_read_the_trace_at_the_grid(self):
+        spec = ExperimentSpec(task="composite", n=8, m=5, iteration_grid=(5, 10, 20),
+                              replications=1, seed=2)
+        table = run_experiment(spec)
+        est = table.per_seed_estimates[0]
+        trace = run_single(spec)
+        assert np.isfinite(est).all() and np.all(np.diff(est) <= 0)
+        assert np.all((0 <= est) & (est <= trace.f0))
+        np.testing.assert_array_equal(est, trace.f_best_running()[[4, 9, 19]])
+
+    def test_nonsmooth_reads_Delta0_as_the_kink_budget(self):
+        spec = ExperimentSpec(task="task1", n=10, m=4, iteration_grid=(30,), Delta0=3.0)
+        trace = run_single(spec, rep_seed=7)
+        prob = generate_task1(n=10, m=4, seed=7)
+        base = ConvexConfig(x0=np.zeros(10), N=30, R=np.sqrt(0.5), store_iterates=False)
+        want, _ = nonsmooth_minimize(NonsmoothConfig(base=base, epsilon=0.05, Delta_known=3.0),
+                                     prob.oracle(), prob.feasible)
+        assert 3.0 in trace.Delta_hist
+        for name in ("f_values", "L_hist", "Delta_hist", "step_norms", "cert_hist", "x_hat"):
+            np.testing.assert_array_equal(getattr(trace, name), getattr(want, name), name)
 
     def test_compare_requires_algo2(self):
         spec = ExperimentSpec(task="task1", n=6, m=3)
@@ -468,6 +498,12 @@ class TestCLI:
         rc = main(["check", "--Delta", "0", "--delta", "0", "--n", "8", "--m", "3"])
         assert rc == 0
         assert "vs Delta=0.0)" in capsys.readouterr().out
+
+    def test_check_allows_the_rounding_of_a_tiny_Delta(self, capsys):
+        # the gradient error of Delta = 1e-12 beside ||g|| of order 1 rounds
+        # past Delta; NoisyOracle's own envelope rule allows for it
+        assert main(["check", "--Delta", "1e-12", "--delta", "0"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--n", "--m"])
     def test_check_refuses_sizes_below_one(self, flag, capsys):

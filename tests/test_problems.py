@@ -211,9 +211,8 @@ class TestNoisyOracle:
         noisy = NoisyOracle(prob.oracle(), Delta=0.3, delta=0.1)
         assert noisy.gamma == 0.3
         assert noisy.known_delta == 0.1
-        assert not noisy.exact_values
         exact = NoisyOracle(prob.oracle(), Delta=0.3, delta=0.0)
-        assert exact.exact_values
+        assert exact.known_delta == 0.0
 
     def test_nested_wrappers_add_their_value_gaps(self):
         prob = self._base()
@@ -227,7 +226,7 @@ class TestNoisyOracle:
 
     def test_unknown_inner_value_gap_stays_unknown(self):
         class Unknown(FunctionOracle):
-            exact_values = False  # and known_delta None, as on ModelOracle
+            known_delta = None
 
         inner = Unknown(lambda x: 0.0, lambda x: np.zeros_like(x))
         assert NoisyOracle(inner, delta=0.1).known_delta is None
@@ -329,7 +328,7 @@ class TestPenalties:
         ev = oracle.evaluate(x)
         assert ev.value == pytest.approx(2.5 + 0.3)
         assert ev.h == pytest.approx(0.3)
-        assert oracle.has_composite
+        assert oracle.composite_prox is not None
 
     def test_composite_requires_prox(self):
         class NoProx:
