@@ -38,9 +38,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+# last on the path, so a PYTHONPATH pointing at another checkout still wins
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from modelgrad import convex, core, kernels
 from modelgrad.core import FeasibleSet

@@ -16,9 +16,10 @@ error estimate; noisy composite; the adaptive/frozen comparison; algo2 at
 the noise floor from the start; trial-cap failures of all three solvers
 at several caps; ``modelgrad solve`` from a config file with flags on
 top; and algo1 runs that the certificate stops early.  Run it against two
-checkouts and diff the output:
+checkouts and diff the output (the script imports its own checkout's
+``src`` unless PYTHONPATH names another):
 
-    PYTHONPATH=src python3 benchmarks/digest.py > after.txt
+    python3 benchmarks/digest.py > after.txt
     PYTHONPATH=../other/src python3 benchmarks/digest.py > before.txt
 
 Usage: python3 benchmarks/digest.py [--n 60] [--m 6] [--iters 150] [--reps 2] [--seeds 0,1,2]
@@ -30,9 +31,14 @@ import dataclasses
 import hashlib
 import io
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
+
+# last on the path, so a PYTHONPATH pointing at another checkout still wins
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from modelgrad import (
     ConvexConfig,

@@ -59,7 +59,7 @@ class InconsistentTraceError(ValueError):
 
 
 class NonTerminationError(RuntimeError):
-    """An inner acceptance loop exhausted its trial cap.
+    """An inner acceptance loop exhausted its trial cap or doubled L to inf.
 
     Carries the iteration index and the ``(L, delta, Delta)`` triple the
     loop would have tried next, so the failing regime (typically an

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FeasibleSet, ModelOracle, _acceptance_rhs, _trial, backtrack
+from .core import FeasibleSet, ModelOracle, NonTerminationError, _acceptance_rhs, _trial, backtrack
 from .convex import ConvexConfig, _run, model_step
 
 __all__ = [
@@ -66,8 +66,8 @@ class NonsmoothConfig:
             raise ValueError("epsilon must be positive and finite")
         if not (self.Delta_known >= 0 and np.isfinite(self.Delta_known)):
             raise ValueError("Delta_known must be nonnegative and finite")
-        if self.L_class is not None and not self.L_class > 0:
-            raise ValueError("L_class must be positive when given")
+        if self.L_class is not None and not 0 < self.L_class < math.inf:
+            raise ValueError("L_class must be positive and finite when given")
         if self.base.delta0 != 0.0:
             raise ValueError("the restarted method assumes exact values (delta0 = 0)")
         if self.base.Delta0 != 0.0:
@@ -134,7 +134,8 @@ def nonsmooth_minimize(
     smooth exit contributes nothing.  A restart that uses up
     ``max_inner_per_iter`` trials raises ``NonTerminationError`` with the
     next (L, 0, Delta_known) of ``backtrack``'s doubling, whichever phase
-    ran out: the error does not say whether phase 1 ever passed.
+    ran out: the error does not say whether phase 1 ever passed.  Phase 2
+    raises it, too, when its doubling overflows L to inf.
     """
     if oracle.known_delta != 0:
         raise ValueError("the restarted method requires exact objective values")
@@ -183,6 +184,9 @@ def nonsmooth_minimize(
         (x_next, trial, Delta, step, L), _, _, _, trials = backtrack(
             attempt, triple, Delta_fixed, Delta_fixed, cap, k
         )
+        if L == math.inf:  # the step, x itself, has weight 1/L = 0: S could stay 0
+            msg = f"restart phase 2 doubled L to inf at iteration {k}"
+            raise NonTerminationError(msg, k, (L, 0.0, Delta_fixed), trials)
         return x_next, trial, L, 0.0, Delta, step, trials
 
     return _run(config.base, oracle, feasible, restart), records

@@ -205,8 +205,9 @@ def generate_task2(n: int = 1000, m: int = 10, seed=0) -> MinMaxBallProblem:
 class PLQuadratic(_Problem):
     """f(x) = 0.5 ||A x - b||^2 with its gradient-domination constants.
 
-    mu is the smallest positive eigenvalue of A^T A and L the largest, so
-    the gradient-domination inequality f(x) - f* <= ||grad f(x)||^2 / (2 mu)
+    mu and L are the smallest positive and the largest squared singular
+    values of A, so the gradient-domination inequality
+    f(x) - f* <= ||grad f(x)||^2 / (2 mu)
     holds even when A is rank deficient.
     """
 
@@ -245,14 +246,12 @@ def pl_quadratic_make(A, b) -> PLQuadratic:
     A[...] = matrix
     A.setflags(write=False)
     b.setflags(write=False)
-    evals = np.linalg.eigvalsh(A.T @ A)
-    tol = float(evals[-1]) * max(A.shape) * np.finfo(np.float64).eps
-    positive = evals[evals > tol]
+    x_star, _, _, s = np.linalg.lstsq(A, b, rcond=None)
+    evals = s * s  # the eigenvalues of A^T A, largest first (any others are 0)
+    positive = evals[evals > evals.max(initial=0.0) * max(A.shape) * np.finfo(np.float64).eps]
     if positive.size == 0:
         raise ValueError("A is identically zero; no positive curvature")
-    mu = float(positive[0])
-    L = float(evals[-1])
-    x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
+    mu, L = float(positive[-1]), float(positive[0])
     r = A @ x_star - b
     f_star = 0.5 * float(np.dot(r, r))
     return PLQuadratic(A=A, b=b, mu=mu, L=L, x_star=as_vector(x_star), f_star=f_star)
@@ -317,25 +316,17 @@ class NoisyOracle(ModelOracle):
             return Evaluation(f, ev.h, ev.gradient)
         return Evaluation(f, ev.h, lambda: self._perturb(ev.gradient(), len(x)))
 
-    def _unit_direction(self, n: int) -> Vector:
+    def _perturb(self, g: Vector, n: int) -> Vector:
         if self.mode == "adversarial-fixed-direction":
             if self._direction is None:
                 d = self._rng.standard_normal(n)
                 self._direction = d / norm(d)
-            return self._direction
-        d = self._rng.standard_normal(n)
-        nrm = norm(d)
-        while nrm == 0.0:
-            d = self._rng.standard_normal(n)
-            nrm = norm(d)
-        d /= nrm
-        return d
-
-    def _perturb(self, g: Vector, n: int) -> Vector:
-        u = self._unit_direction(n)
-        if self.mode == "adversarial-fixed-direction":
-            scale = self.Delta
+            u, scale = self._direction, self.Delta
         else:
+            u = self._rng.standard_normal(n)
+            while (nrm := norm(u)) == 0.0:
+                u = self._rng.standard_normal(n)
+            u /= nrm
             scale = self.Delta * self._rng.random()
         g_noisy = g + scale * u
         err = norm(g_noisy - g)
@@ -377,32 +368,25 @@ class L1Penalty:
 class CompositeOracle(ModelOracle):
     """Smooth part by its own ``evaluate``, nonsmooth part by prox.
 
-    ``smooth_evaluate`` maps x to the smooth part's ``Evaluation``; wrap
-    value/gradient callables as ``FunctionOracle(value_fn,
-    gradient_fn).evaluate``.  ``evaluate`` computes the penalty once per
-    point.
+    ``smooth_evaluate`` maps x to the smooth part's ``Evaluation`` (with a
+    float64 gradient); wrap value/gradient callables as ``FunctionOracle(
+    value_fn, gradient_fn).evaluate``.  A penalty needs ``value`` and
+    ``prox``.  ``evaluate`` computes the penalty once per point.
     """
 
     def __init__(self, smooth_evaluate: Callable[[Vector], Evaluation], penalty):
+        if not (hasattr(penalty, "value") and hasattr(penalty, "prox")):
+            raise UnsupportedCombinationError("composite penalty must provide value() and prox()")
         self._evaluate_smooth = smooth_evaluate
         self.penalty = penalty
 
     def evaluate(self, x: Vector) -> Evaluation:
         smooth = self._evaluate_smooth(x)
         h = float(self.penalty.value(x))
-        return Evaluation(
-            float(smooth.value) + h,
-            h,
-            lambda: np.asarray(smooth.gradient(), dtype=np.float64),
-        )
+        return Evaluation(float(smooth.value) + h, h, smooth.gradient)
 
     def composite_prox(self, v: Vector, weight: float) -> Vector:
         return self.penalty.prox(v, weight)
 
 
-def composite_oracle(smooth_evaluate, penalty) -> CompositeOracle:
-    if not (hasattr(penalty, "value") and hasattr(penalty, "prox")):
-        raise UnsupportedCombinationError(
-            "composite penalty must provide value() and prox()"
-        )
-    return CompositeOracle(smooth_evaluate, penalty)
+composite_oracle = CompositeOracle

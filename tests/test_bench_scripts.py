@@ -10,8 +10,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # no PYTHONPATH: each script finds the checkout's own src
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / name), *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,

@@ -84,8 +84,9 @@ class TestConfig:
             NonsmoothConfig(base=self._base(), epsilon=0.0)
         with pytest.raises(ValueError):
             NonsmoothConfig(base=self._base(), epsilon=0.1, Delta_known=-1.0)
-        with pytest.raises(ValueError):
-            NonsmoothConfig(base=self._base(), epsilon=0.1, L_class=0.0)
+        for L_class in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                NonsmoothConfig(base=self._base(), epsilon=0.1, L_class=L_class)
 
 
 class TestRestartInner:
@@ -217,6 +218,19 @@ class TestNonsmoothMinimize:
         trace, _ = nonsmooth_minimize(config, prob.oracle(), prob.feasible)
         assert trace.N_run == 40
         assert trace.cert_hist[-1] >= prob.value(trace.x_hat) - trace.best_f
+
+    def test_phase_2_doubling_L_to_inf_is_named(self):
+        # f = c|x| at x0 = 1e-9: phase 1 passes at L0/2 under the large
+        # Delta_known, phase 2 fails both exits at L_class and doubles L to
+        # inf, where the step is x0 itself at weight 1/L = 0 and S = 0
+        c = 1e300
+        oracle = FunctionOracle(lambda x: c * float(np.abs(x).sum()), lambda x: c * np.sign(x))
+        base = ConvexConfig(x0=np.array([1e-9]), L0=1e300, N=1, R=0.7)
+        config = NonsmoothConfig(base=base, epsilon=1e-10, Delta_known=2e300, L_class=1.7e308)
+        with pytest.raises(NonTerminationError, match="to inf") as info:
+            nonsmooth_minimize(config, oracle, WHOLE)
+        assert info.value.triple[0] == math.inf
+        assert info.value.partial_trace.N_run == 0
 
     def test_infinite_gradient_fails_at_once(self):
         # the gradient blows up once an iterate leaves the half plane x0 < 0.5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelgrad.convex import ConvexConfig, convex_minimize
 from modelgrad.core import (
@@ -274,6 +276,31 @@ class TestRateBounds:
         adaptive = pl_rate_bound(trace, prob.mu, Delta)
         nonadaptive = pl_rate_bound_nonadaptive(trace, prob.mu, Delta)
         assert adaptive <= nonadaptive * (1.0 + 1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 11),
+        st.integers(2, 11),
+        st.floats(-4.0, 0.0),
+        st.sampled_from(NoisyOracle.MODES),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_contraction_bounds_hold_with_the_problems_mu(self, seed, m, n, log_Delta, mode, N):
+        # algo2 clamped at the true gradient-noise level: both products of
+        # contraction factors, times the initial gap, bound the final gap
+        Delta = 10.0**log_Delta
+        rng = np.random.default_rng(seed)
+        prob = pl_quadratic_make(rng.standard_normal((m, n)), rng.standard_normal(m))
+        x0 = np.zeros(n)
+        noisy = NoisyOracle(prob.oracle(), Delta=Delta, mode=mode, seed=seed)
+        config = PLConfig(x0=x0, Delta0=Delta, Delta_cap=Delta, N=N, store_iterates=False)
+        trace = pl_minimize(config, noisy)
+        gap0 = prob.value(x0) - prob.f_star
+        gap_N = prob.value(trace.x_final) - prob.f_star
+        tol = 1e-12 * max(1.0, gap0)
+        assert pl_rate_bound(trace, prob.mu, Delta) * gap0 >= gap_N - tol
+        assert pl_rate_bound_nonadaptive(trace, prob.mu, Delta) * gap0 >= gap_N - tol
 
     def test_empty_trace_gives_unit_product(self):
         trace = synthetic_trace([], math.nan, clamp=0.1)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from modelgrad.core import FeasibleSet, FunctionOracle, UnsupportedCombinationError
+from modelgrad.core import FeasibleSet, FunctionOracle, UnsupportedCombinationError, norm
 from modelgrad.problems import (
     BallSumProblem,
+    CompositeOracle,
     L1Penalty,
     MinMaxBallProblem,
     NoisyOracle,
@@ -157,6 +158,17 @@ class TestPLQuadratic:
         assert prob.mu == pytest.approx(evals[0], rel=1e-9)
         assert prob.mu <= prob.L
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_constants_are_the_known_squared_singular_values(self, seed):
+        # a 12x8 matrix with singular values from 1 down to 1e-6 (kappa = 1e6)
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((12, 8)))
+        V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        s = np.logspace(0.0, -6.0, 8)
+        prob = pl_quadratic_make((U * s) @ V.T, rng.standard_normal(12))
+        assert prob.L == pytest.approx(s[0] ** 2, rel=1e-9, abs=0.0)
+        assert prob.mu == pytest.approx(s[-1] ** 2, rel=1e-9, abs=0.0)
+
     def test_later_writes_to_the_inputs_change_nothing(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((8, 5))
@@ -175,8 +187,9 @@ class TestPLQuadratic:
         assert not prob.A.flags.writeable and not prob.b.flags.writeable
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            pl_quadratic_make(np.zeros((3, 3)), np.ones(3))
+        for shape in ((3, 3), (0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="identically zero"):
+                pl_quadratic_make(np.zeros(shape), np.ones(shape[0]))
 
     def test_f_star_zero_on_consistent_system(self):
         rng = np.random.default_rng(1)
@@ -253,6 +266,35 @@ class TestNoisyOracle:
         assert first.gradient().tobytes() != second.gradient().tobytes()
         ev = noisy.evaluate(x)
         assert ev.gradient() is ev.gradient()
+
+    @pytest.mark.parametrize("mode", NoisyOracle.MODES)
+    def test_draw_order_is_pinned(self, mode):
+        # per query: the value's random() when evaluate is called; then, on
+        # the first gradient() only, the gradient draws: random-sphere a
+        # standard_normal(n), redrawn while its norm is 0, then random() for
+        # the scale; adversarial its direction once, on first use
+        inner = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        Delta, delta, n = 0.3, 0.2, 4
+        oracle = NoisyOracle(inner, Delta=Delta, delta=delta, mode=mode, seed=11)
+        rng = np.random.default_rng(11)
+        direction = None
+        for k, ask_gradient in enumerate([True, False, True, True]):
+            x = np.arange(n, dtype=np.float64) - k
+            ev = oracle.evaluate(x)
+            assert ev.value == 0.5 * float(x @ x) - delta * rng.random()
+            if not ask_gradient:
+                continue
+            if mode == "random-sphere":
+                u = rng.standard_normal(n)
+                u /= norm(u)
+                expected = x + Delta * rng.random() * u
+            else:
+                if direction is None:
+                    d = rng.standard_normal(n)
+                    direction = d / norm(d)
+                expected = x + Delta * direction
+            np.testing.assert_array_equal(ev.gradient(), expected)
+            np.testing.assert_array_equal(ev.gradient(), expected)
 
     def test_adversarial_direction_is_fixed(self):
         prob = self._base()
@@ -335,5 +377,7 @@ class TestPenalties:
             def value(self, x):
                 return 0.0
 
-        with pytest.raises(UnsupportedCombinationError):
-            composite_oracle(FunctionOracle(lambda x: 0.0, lambda x: x).evaluate, NoProx())
+        smooth = FunctionOracle(lambda x: 0.0, lambda x: x).evaluate
+        for make in (composite_oracle, CompositeOracle):  # refused when built
+            with pytest.raises(UnsupportedCombinationError):
+                make(smooth, NoProx())
