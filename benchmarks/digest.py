@@ -10,12 +10,13 @@ comes out:
   partial trace;
 * the CLI's trace CSV without its ``elapsed_ms`` column.
 
-The cases: task1 and task2 with the restarted method and with algo1;
-noisy algo1 in both noise modes; algo2 with an adaptive and a frozen
-error estimate; noisy composite; the adaptive/frozen comparison; algo2 at
-the noise floor from the start; trial-cap failures of all three solvers
-at several caps; ``modelgrad solve`` from a config file with flags on
-top; and algo1 runs that the certificate stops early.  Run it against two
+The cases: task1 and task2 with the restarted method, without and with
+``L_class``, and with algo1; noisy algo1 in both noise modes; algo2 with
+an adaptive and a frozen error estimate; noisy composite; the
+adaptive/frozen comparison; algo2 at the noise floor from the start;
+trial-cap failures of all three solvers at several caps; ``modelgrad
+solve`` from a config file with flags on top; and algo1 runs that the
+certificate stops early.  Run it against two
 checkouts and diff the output (the script imports its own checkout's
 ``src`` unless PYTHONPATH names another):
 
@@ -111,11 +112,23 @@ def _harness(args, seed, **kw):
     return run_experiment(spec), run_single(spec)
 
 
-def _restarted(gen, args, seed):
+def _restarted(gen, args, seed, L_class=None):
     prob = gen(n=args.n, m=args.m, seed=seed)
     cfg = NonsmoothConfig(base=ConvexConfig(x0=np.zeros(args.n), N=args.N, R=0.5**0.5),
-                          epsilon=0.05, Delta_known=2.0)
+                          epsilon=0.05, Delta_known=2.0, L_class=L_class)
     return nonsmooth_minimize(cfg, prob.oracle(), prob.feasible)
+
+
+def _restarted_L_class(args, seed):
+    """The restarted method on task1 and task2 with L_class = 24.  Phase 2
+    starts at max(L1, L_class) and ends at that L times 2^p_used, so
+    final_L = 24 * 2^p_used marks a start at L_class.  Some restarts must
+    start there and some past it."""
+    out = [_restarted(gen, args, seed, 24.0) for gen in (generate_task1, generate_task2)]
+    at_class = {rec.final_L == 24.0 * 2**rec.p_used for _, records in out for rec in records}
+    if at_class != {True, False}:
+        raise AssertionError(f"the runs of seed {seed} do not start phase 2 both ways")
+    return out
 
 
 def _quadratic(args, seed):
@@ -215,6 +228,7 @@ CASES = {
                                      _harness(a, s, task="task1")),
     "task2-restarted": lambda a, s: (_restarted(generate_task2, a, s),
                                      _harness(a, s, task="task2")),
+    "restarted-L_class": _restarted_L_class,
     "task1-algo1": lambda a, s: _harness(a, s, task="task1", solver="algo1"),
     "task2-algo1": lambda a, s: _harness(a, s, task="task2", solver="algo1"),
     **{

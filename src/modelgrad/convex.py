@@ -76,7 +76,8 @@ class ConvexConfig:
 
 # the trace's per-step arrays, in the order ``_run`` passes them to ``Recorder.add``
 _COLUMNS = (
-    "f_values", "L_hist", "delta_hist", "Delta_hist", "inner_hist", "step_norms", "cert_hist"
+    "f_values", "L_hist", "delta_hist", "Delta_hist", "inner_hist", "step_norms", "cert_hist",
+    "p_hist",
 )
 
 
@@ -92,11 +93,13 @@ class ConvexTrace(Trace):
     by gamma * diam(Q), twice gamma times the radius, so it stays a bound,
     if a loose one; on the whole space it is NaN.  ``certificate_bound``
     gives the tight version, given x*.  ``stopped_early``: the certificate,
-    where finite, reached ``epsilon`` and ended the run.
+    where finite, reached ``epsilon`` and ended the run.  ``p_hist[k]``
+    counts the restart's fixed-Delta doublings at step k (0 for algo1).
     """
 
     step_norms: np.ndarray
     cert_hist: np.ndarray
+    p_hist: np.ndarray
     S_N: float
     x_hat: Vector
     total_inner_calls: int
@@ -157,7 +160,7 @@ def convex_minimize(
         (x_next, trial, step), L, delta, Delta, inner = backtrack(
             attempt, triple, 0.0, math.inf, cap, k
         )
-        return x_next, trial, L, delta, Delta, step, inner
+        return x_next, trial, L, delta, Delta, step, inner, 0
 
     return _run(config, oracle, feasible, advance)
 
@@ -172,16 +175,17 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     value and gradient, and ``triple`` the (L, delta, Delta) of the last
     accepted step (the configured start values before the first).  It
     returns the accepted step as (x_next, its evaluation, L, delta, Delta,
-    step length, trials), and that evaluation is the next step's anchor.
-    A ``NonTerminationError`` from it leaves with the steps accepted
-    before it as ``partial_trace``; a NaN or infinite value or gradient
-    raises ``NonFiniteOracleError`` before ``advance`` sees it.
+    step length, trials, restart doublings), and that evaluation is the
+    next step's anchor, whose value ``_trial`` has checked.  A
+    ``NonTerminationError`` from it leaves with the steps accepted before
+    it as ``partial_trace``; a NaN or infinite value or gradient raises
+    ``NonFiniteOracleError`` before ``advance`` sees it.
     """
     if not feasible.contains(config.x0):
         raise ValueError("x0 lies outside the feasible set")
     x0 = x = config.x0
     anchor = oracle.evaluate(x0)
-    f0 = best_f = anchor.value
+    f = f0 = best_f = checked_value(anchor.value, 0)
     best_x = x0
     triple = (config.L0, config.delta0, config.Delta0)
     S = 0.0
@@ -196,10 +200,9 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     failure = None
     rec = Recorder(x0, config.store_iterates)
     for k in range(config.N):
-        f = checked_value(anchor.value, k)
         g = checked_gradient(anchor.gradient(), k)
         try:
-            x, anchor, L, delta, Delta, step, trials = advance(k, x, anchor, f, g, triple)
+            x, anchor, L, delta, Delta, step, trials, p = advance(k, x, anchor, f, g, triple)
         except NonTerminationError as err:
             failure = err
             break
@@ -213,7 +216,7 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
             best_f = f
             best_x = x
         cert = (R_sq + noise_sum) / S + gap if R_sq is not None else math.nan
-        rec.add(x, f, L, delta, Delta, trials, step, cert)
+        rec.add(x, f, L, delta, Delta, trials, step, cert, p)
         if config.epsilon is not None and cert <= config.epsilon:
             stopped_early = True
             break

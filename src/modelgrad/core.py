@@ -367,11 +367,12 @@ class Recorder:
 
     def columns(self, names) -> dict:
         """One array per name, the values ``add`` took in that order, plus
-        ``elapsed_ms``: ``inner_hist`` as int64, the others as float64."""
+        ``elapsed_ms``: the counts ``inner_hist`` and ``p_hist`` as int64,
+        the others as float64."""
         names = (*names, "elapsed_ms")
         cols = zip(*self.rows) if self.rows else [()] * len(names)
         return {
-            name: np.array(col, dtype=np.int64 if name == "inner_hist" else np.float64)
+            name: np.array(col, np.int64 if name in ("inner_hist", "p_hist") else np.float64)
             for name, col in zip(names, cols)
         }
 
@@ -382,7 +383,9 @@ class Trace:
 
     The fields the three solvers share.  Each subclass also provides
     ``step_norms`` and ``cert_hist``, the step length and the online
-    certificate of each step (NaN where the solver has none).
+    certificate of each step (NaN where the solver has none).  A run that
+    completes N or stops on the certificate made 1 + ``inner_hist.sum()``
+    evaluations and ``N_run`` gradients (algo2: ``N_run`` + 1).
     """
 
     x0: Vector

@@ -76,7 +76,7 @@ class NonsmoothConfig:
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """Audit entry for one outer iteration's restart procedure."""
+    """Audit entry for one restart, read off the k-th row of the trace."""
 
     k: int
     p_used: int
@@ -141,7 +141,6 @@ def nonsmooth_minimize(
         raise ValueError("the restarted method requires exact objective values")
     if oracle.gamma != 0:
         raise ValueError("the restarted method requires a tight lower model")
-    records = []
     Delta_fixed = config.Delta_known
     L_min = config.L_class or 0.0
     cap = config.base.max_inner_per_iter
@@ -154,7 +153,7 @@ def nonsmooth_minimize(
         # phase 2 at L2 = max(L1, L_class): on that same trial when L1 is
         # the larger, else with a new trial at L_class.  Each later call
         # adds 1 to p and doubles L2.  Both exits are tested at L2, the L
-        # the step is recorded at.
+        # the step is recorded at; p keeps the accepting call's value.
         p = L2 = None
 
         def attempt(L, delta, Delta):
@@ -171,13 +170,9 @@ def nonsmooth_minimize(
                     p, L2 = -1, 0.5 * L_min
                     return None
                 p, L2 = 0, L
-            # A RestartRecord takes its fields positionally: keywords would
-            # double its cost.
             if Delta_fixed * step <= 0.5 * config.epsilon:
-                records.append(RestartRecord(k, p, STOP_DELTA_TERM, L))
                 return x_next, trial, Delta_fixed, step, L
             if trial.value <= f + psi + L * (0.5 * sq):
-                records.append(RestartRecord(k, p, STOP_SMOOTH, L))
                 return x_next, trial, 0.0, step, L
             return None
 
@@ -187,6 +182,10 @@ def nonsmooth_minimize(
         if L == math.inf:  # the step, x itself, has weight 1/L = 0: S could stay 0
             msg = f"restart phase 2 doubled L to inf at iteration {k}"
             raise NonTerminationError(msg, k, (L, 0.0, Delta_fixed), trials)
-        return x_next, trial, L, 0.0, Delta, step, trials
+        return x_next, trial, L, 0.0, Delta, step, trials, p
 
-    return _run(config.base, oracle, feasible, restart), records
+    trace = _run(config.base, oracle, feasible, restart)
+    # Delta_fixed marks the delta-term exit, tested first and always passed at Delta_fixed = 0
+    cols = trace.p_hist.tolist(), trace.Delta_hist.tolist(), trace.L_hist.tolist()
+    return trace, [RestartRecord(k, p, STOP_DELTA_TERM if D == Delta_fixed else STOP_SMOOTH, L)
+                   for k, (p, D, L) in enumerate(zip(*cols))]

@@ -147,17 +147,18 @@ def pl_step_size(L: float, Delta: float, g_tilde: float) -> float:
 def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     """Run the adaptive damped-descent method; output is the last iterate.
 
-    Each point is evaluated once: the accepted trial's evaluation gives the
-    next iteration's gradient.  The run stops at the floor as soon as the
-    gradient-error estimate reaches the observed gradient norm, even when
-    that happens on the growth after the trial cap's last rejection.  The
-    damped step has no composite part, so an oracle with one is refused.
+    Each point is evaluated once, and its value and gradient are checked
+    once: the accepted trial's evaluation gives the next iteration's
+    gradient.  The run stops at the floor as soon as the gradient-error
+    estimate reaches the observed gradient norm, even when that happens on
+    the growth after the trial cap's last rejection.  The damped step has
+    no composite part, so an oracle with one is refused.
     """
     if oracle.composite_prox is not None:
         raise UnsupportedCombinationError("algo2 does not take a composite part")
     x = x0 = config.x0
     ev = oracle.evaluate(x)
-    f_x = f0 = best_f = ev.value
+    f_x = f0 = best_f = checked_value(ev.value, 0)
     Delta_cap = math.inf if config.Delta_cap is None else config.Delta_cap
     triple = (config.L0, config.delta0, min(config.Delta0, Delta_cap))
     # a frozen estimate stays at its start value
@@ -180,12 +181,13 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
             return TERM_FLOOR
         return None
 
-    for k in range(config.N):
-        checked_value(f_x, k)
+    for k in range(config.N + 1):  # step N only checks the last point's gradient
         g_vec = ev.gradient()
         gn = norm(g_vec)
         if not math.isfinite(gn):  # a non-finite entry, or only an overflow
             checked_gradient(g_vec, k)
+        if k == config.N:
+            break
         try:
             result, L, delta, Delta, inner = backtrack(
                 attempt, triple, Delta_min, Delta_max, config.max_inner_per_iter, k
@@ -208,7 +210,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         x0=x0,
         f0=f0,
         termination=termination,
-        final_g_norm=norm(ev.gradient()),
+        final_g_norm=gn,
         clamp=config.Delta_cap,
         x_final=x,
         f_final=f_x,

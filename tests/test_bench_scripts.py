@@ -34,7 +34,8 @@ def test_digest_prints_one_hash_per_case():
                       "--seeds", "0")
     rows = [line.split("\t") for line in out.strip().split("\n")]
     names = [row[0] for row in rows]
-    assert names == ["task1-restarted", "task2-restarted", "task1-algo1", "task2-algo1",
+    assert names == ["task1-restarted", "task2-restarted", "restarted-L_class", "task1-algo1",
+                     "task2-algo1",
                      "task2-algo1-noisy-random-sphere",
                      "task2-algo1-noisy-adversarial-fixed-direction",
                      "algo2-adaptive", "algo2-frozen", "composite-noisy", "compare",

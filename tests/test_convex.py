@@ -238,6 +238,7 @@ class TestCertificate:
             inner_hist=np.array([1]),
             step_norms=np.array([1.0]),
             cert_hist=np.array([np.nan]),
+            p_hist=np.array([0]),
             elapsed_ms=np.array([0.0]),
             S_N=0.5,
             x_hat=np.zeros(2),

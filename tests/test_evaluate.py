@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from modelgrad import harness, kernels, problems
 from modelgrad.convex import ConvexConfig, convex_minimize, model_step
-from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle, norm
+from modelgrad.core import Evaluation, FeasibleSet, FunctionOracle, ModelOracle, norm
 from modelgrad.harness import ExperimentSpec
 from modelgrad.nonsmooth import NonsmoothConfig, nonsmooth_minimize
 from modelgrad.pl import TERM_COMPLETED, TERM_FLOOR, PLConfig, pl_minimize, pl_step_size
@@ -241,6 +241,54 @@ def test_each_point_is_computed_once(monkeypatch, kind, solver):
     assert trace.N_run == 40
     assert sweeps[0] == evaluations
     assert l1[0] == (evaluations if kind == "composite" else 0)
+
+
+class _Counting(ModelOracle):
+    """``inner`` with its evaluations and gradient computations counted."""
+
+    def __init__(self, inner):
+        self.inner, self.evaluations, self.gradients = inner, 0, 0
+        self.gamma, self.known_delta = inner.gamma, inner.known_delta
+        self.composite_prox = inner.composite_prox
+
+    def evaluate(self, x):
+        self.evaluations += 1
+        ev = self.inner.evaluate(x)
+
+        def gradient():
+            self.gradients += 1
+            return ev.gradient()
+
+        return Evaluation(ev.value, ev.h, gradient)
+
+
+def _traffic_run(case, oracle, feasible):
+    x0 = np.zeros(N_DIM)
+    if case == "algo2":
+        return pl_minimize(PLConfig(x0=x0, N=40), oracle)
+    if case.startswith("algo1"):
+        # 2.0 is the certificate after step 20 of the full run
+        epsilon = 2.0 if case == "algo1-early-stop" else None
+        return convex_minimize(ConvexConfig(x0=x0, N=40, R=1.0, epsilon=epsilon), oracle, feasible)
+    L_class = 5.0 if case == "restart-L_class" else None
+    cfg = NonsmoothConfig(base=ConvexConfig(x0=x0, N=40, R=1.0), epsilon=0.05,
+                          Delta_known=2.0, L_class=L_class)
+    return nonsmooth_minimize(cfg, oracle, feasible)[0]
+
+
+@pytest.mark.parametrize(
+    "case", ["algo1", "algo1-early-stop", "restart", "restart-L_class", "algo2"]
+)
+def test_oracle_traffic_is_read_off_the_trace(case):
+    """One evaluation at x0 and one per trial, and one gradient per
+    accepted step's anchor, plus algo2's at the last point: what
+    ``inner_hist`` and ``N_run`` state, with no counter in the library."""
+    make, _, feasible = _problem("ballsum" if case.startswith("restart") else "quadratic")
+    oracle = _Counting(make())
+    trace = _traffic_run(case, oracle, feasible)
+    assert trace.N_run == (20 if case == "algo1-early-stop" else 40)
+    assert oracle.evaluations == 1 + int(trace.inner_hist.sum())
+    assert oracle.gradients == trace.N_run + (case == "algo2")
 
 
 class TestEvaluation:

@@ -232,6 +232,22 @@ class TestNonsmoothMinimize:
         assert info.value.triple[0] == math.inf
         assert info.value.partial_trace.N_run == 0
 
+    def test_failure_keeps_the_audit_of_the_steps_before(self):
+        # the restart runs out of its 4 trials at iteration 6; the partial
+        # trace's p_hist is the p_used of the same run stopped at N = 6
+        prob = generate_task1(n=10, m=3, seed=1)
+
+        def config(N):
+            base = ConvexConfig(x0=np.zeros(10), N=N, R=math.sqrt(0.5), max_inner_per_iter=4)
+            return NonsmoothConfig(base=base, epsilon=0.05, Delta_known=4.0)
+
+        with pytest.raises(NonTerminationError) as info:
+            nonsmooth_minimize(config(50), prob.oracle(), prob.feasible)
+        assert info.value.iteration == 6
+        _, records = nonsmooth_minimize(config(6), prob.oracle(), prob.feasible)
+        assert info.value.partial_trace.p_hist.tolist() == [r.p_used for r in records]
+        assert any(r.p_used > 0 for r in records)
+
     def test_infinite_gradient_fails_at_once(self):
         # the gradient blows up once an iterate leaves the half plane x0 < 0.5
         target = np.array([2.0, 0.0])

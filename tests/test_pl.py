@@ -174,6 +174,18 @@ class TestMinimize:
         assert info.value.quantity == "gradient"
         assert 1 <= info.value.iteration < 5
 
+    def test_nan_gradient_at_the_last_point_fails(self):
+        # one step from x0 = 1 lands on 0, where the gradient is NaN: the
+        # run that stops there checks it as the run that goes on does
+        def gradient(x):
+            return x.copy() if x[0] >= 0.3 else np.full_like(x, math.nan)
+
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), gradient)
+        for N in (1, 2):
+            with pytest.raises(NonFiniteOracleError) as info:
+                pl_minimize(PLConfig(x0=np.array([1.0]), L0=1.0, N=N), oracle)
+            assert (info.value.quantity, info.value.iteration) == ("gradient", 1)
+
     def test_liar_oracle_raises_with_partial_trace(self):
         oracle = FunctionOracle(lambda x: 1.0, lambda x: np.array([1.0, 0.0]))
         config = PLConfig(x0=np.zeros(2), N=5, max_inner_per_iter=10)
