@@ -8,15 +8,17 @@ difference matrix, at the sizes of the paper's protocols and beyond.
 
 Then times the layers one solver trial runs through, on task1's geometry:
 the distance sweep each evaluation makes (task1's ball sum, task2's
-min-max), the model step with its projection onto the unit ball at the
-origin (a step that stays inside and one that is projected), the check
-and evaluation ``core._trial`` makes of each of those two steps' points
-(the solvers' one trial function, without the model step), the inside
-test of that projection alone and of one on a ball off the origin, one
-evaluation through the oracle the solvers query and one through the
-public ``problem.evaluate``, which checks its point, and the row an
-accepted step books through ``Recorder.add``.  Run the script with another
-checkout's ``src`` on PYTHONPATH to compare these layers across versions.
+min-max), also at a point 1e-8 from a center and, for the ball sum, at one
+on a kink, where a row is recomputed from its differences; the model step
+with its projection onto the unit ball at the origin (a step that stays
+inside and one that is projected), the check and evaluation ``core._trial``
+makes of each of those two steps' points (the solvers' one trial function,
+without the model step), the inside test of that projection alone and of
+one on a ball off the origin, one evaluation through the oracle the solvers
+query and one through the public ``problem.evaluate``, which checks its
+point, and the row an accepted step books through ``Recorder.add``.  Run the
+script with another checkout's ``src`` on PYTHONPATH to compare these
+layers across versions.
 
 Last, the composite workload's two matrix-vector products, ``A.dot(x)``
 and ``A.T.dot(r)``, at its 100x1000 ``A``, with the data of ``A`` 16
@@ -91,6 +93,13 @@ def sweep_ballsum_subgrad(centers, x, radius, sqnorms):
     return kernels.ballsum_subgrad_from(centers, x, radius, sq, redo)
 
 
+def _guard_point(centers, x, sqnorms, kink_sq, where):
+    """``x``, after checking that a sweep there recomputes a row."""
+    if not kernels.sq_dists(centers, x, sqnorms, kink_sq)[1]:
+        raise AssertionError(f"no row is recomputed at the point {where}")
+    return x
+
+
 def trial_path_cases(centers, x, rng):
     """(layer, call) pairs at one size, on task1's geometry."""
     prob = BallSumProblem(centers)
@@ -103,6 +112,10 @@ def trial_path_cases(centers, x, rng):
     g_out = rng.standard_normal(n)  # a step of length 2 leaves the unit ball
     g_out *= 2.0 / np.linalg.norm(g_out)
     L_in = 4.0 * np.linalg.norm(g)  # a step of length 1/4 stays inside
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    near = _guard_point(centers, centers[0] + 1e-8 * u, sqnorms, math.inf, "near a center")
+    kink = _guard_point(centers, centers[0] + u, sqnorms, 1.0, "on a kink")
     anchor = oracle.evaluate(x)
     y_in = convex.model_step(oracle, feasible, x, L_in, g)
     y_out = convex.model_step(oracle, feasible, x, 1.0, g_out)
@@ -110,6 +123,9 @@ def trial_path_cases(centers, x, rng):
     return (
         ("ballsum sweep", lambda: ballsum_sweep(centers, x, 1.0, sqnorms)),
         ("minmax sweep", lambda: kernels.minmax_value(centers, x, minmax.sqnorms)),
+        ("ballsum sweep, near", lambda: ballsum_sweep(centers, near, 1.0, sqnorms)),
+        ("minmax sweep, near", lambda: kernels.minmax_value(centers, near, minmax.sqnorms)),
+        ("ballsum sweep, kink", lambda: ballsum_sweep(centers, kink, 1.0, sqnorms)),
         ("model_step inside", lambda: convex.model_step(oracle, feasible, x, L_in, g)),
         ("model_step projected", lambda: convex.model_step(oracle, feasible, x, 1.0, g_out)),
         ("core._trial inside", lambda: core._trial(oracle, x, anchor, g, y_in, 0)),
@@ -118,7 +134,7 @@ def trial_path_cases(centers, x, rng):
         ("project inside, off 0", lambda: off_origin.project(x)),
         ("oracle.evaluate", lambda: oracle.evaluate(x)),
         ("problem.evaluate", lambda: prob.evaluate(x)),
-        ("Recorder.add", lambda: rec.add(x, 0.0, 1.0, 0.0, 0.0, 2, 0.1, math.nan)),
+        ("Recorder.add", lambda: rec.add(x, 0.0, 1.0, 0.0, 0.0, 2, 0.1, math.nan, 0)),
     )
 
 

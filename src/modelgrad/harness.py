@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -53,7 +54,6 @@ __all__ = [
     "default_solver",
 ]
 
-TASKS = ("task1", "task2", "pl-quadratic", "composite")
 SOLVERS = ("algo1", "nonsmooth", "algo2")
 # the solvers each task runs with, its default first
 _TASK_SOLVERS = {
@@ -62,6 +62,7 @@ _TASK_SOLVERS = {
     "pl-quadratic": ("algo2",),
     "composite": ("algo1",),
 }
+TASKS = tuple(_TASK_SOLVERS)
 
 TRACE_COLUMNS = "iter,f_value,f_best,L_k,delta_k,Delta_k,inner_calls,step_norm,cert_bound,elapsed_ms"
 TABLE_COLUMNS = "iters,mean_estimate,std_estimate,mean_time_ms"
@@ -122,9 +123,15 @@ class ExperimentSpec:
             raise ValueError(
                 f"task {self.task!r} supports solvers {allowed}, got {self.solver!r}"
             )
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
-        grid = tuple(int(v) for v in self.iteration_grid)
+        for name, low in (("n", 1), ("m", 1), ("replications", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                kind = "positive" if low else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+        grid = tuple(self.iteration_grid)
+        if not all(isinstance(g, numbers.Integral) for g in grid):
+            raise ValueError(f"iteration_grid must be a sequence of integers, got {grid!r}")
+        grid = tuple(int(v) for v in grid)
         if len(grid) == 0:
             raise ValueError("iteration_grid must be nonempty")
         if any(g < 1 for g in grid):
@@ -132,8 +139,6 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("iteration grid must be strictly increasing")
         object.__setattr__(self, "iteration_grid", grid)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
         if not 0 < self.L0 < math.inf:
             raise ValueError(f"L0 must be positive and finite, got {self.L0!r}")
         for name in ("Delta0", "delta0", "Delta", "delta"):
@@ -329,21 +334,24 @@ def _geometric_problem(spec: ExperimentSpec, rep_seed: int):
     return gen(n=spec.n, m=spec.m, seed=rep_seed)
 
 
-def _quadratic_problem(spec: ExperimentSpec, rep_seed: int):
-    rng = np.random.default_rng(rep_seed)
-    A = rng.standard_normal((spec.m, spec.n))
-    b = rng.standard_normal(spec.m)
-    return pl_quadratic_make(A, b)
-
-
-def _composite_objects(spec: ExperimentSpec, rep_seed: int):
+def _least_squares_data(spec: ExperimentSpec, rep_seed: int):
+    """The (m, n) matrix ``A``, aligned and read-only, and then ``b`` of a
+    least-squares replication, drawn from ``rep_seed``."""
     rng = np.random.default_rng(rep_seed)
     A = aligned_empty((spec.m, spec.n))
     rng.standard_normal(out=A)  # the draws of standard_normal((m, n)), no copy
     A.setflags(write=False)
-    b = rng.standard_normal(spec.m)
+    return A, rng.standard_normal(spec.m)
+
+
+def _quadratic_problem(spec: ExperimentSpec, rep_seed: int):
+    return pl_quadratic_make(*_least_squares_data(spec, rep_seed))
+
+
+def _composite_objects(spec: ExperimentSpec, rep_seed: int):
     return composite_oracle(
-        functools.partial(least_squares, A, b), L1Penalty(_COMPOSITE_WEIGHT)
+        functools.partial(least_squares, *_least_squares_data(spec, rep_seed)),
+        L1Penalty(_COMPOSITE_WEIGHT),
     )
 
 

@@ -27,15 +27,13 @@ its differences when
 The per-row work runs on Python floats: at the m = 10 rows of the paper's
 protocols one numpy call costs more than the whole loop.
 
-The value kernels reduce in the sweep's own row loop: ``ballsum_sweep``
-sums the ball-sum value and ``minmax_value`` keeps the maximum and its
-first index as the distances come.  A guard row or a NaN or infinite
-distance sends such a call back through ``sq_dists`` (the sweep with its
-recompute) followed by the per-row reduction, whose floats, tie rule and
-NaN results the loop reproduces everywhere else.  ``ballsum_sweep`` also
-returns the squared distances and recomputed rows, those of ``sq_dists``
-bit for bit, so ``BallSumProblem`` sweeps each point once and hands them
-to ``ballsum_subgrad_from`` for the subgradient.
+The value kernels reduce in the sweep's row loop and recompute a guard row
+there, before its distance reaches ``math.sqrt`` (next to a center the
+expanded d^2 can be negative).  ``ballsum_sweep`` also returns the squared
+distances and recomputed rows, so ``BallSumProblem`` sweeps each point once
+and hands them to ``ballsum_subgrad_from``.  ``sq_dists``, which recomputes
+after its loop, and the per-row reductions are the two-pass reference: the
+sweeps give their floats, rows, tie rule and NaN results.
 """
 
 import math
@@ -71,11 +69,7 @@ def sq_dists(centers, x, sqnorms, kink_sq):
     Those are the rows within the guard margins of zero or of ``kink_sq``;
     pass ``math.inf`` when the objective has no kink.
     """
-    return _sq_dists(centers, x, *_products(centers, x, sqnorms), kink_sq)
-
-
-def _sq_dists(centers, x, xx, a2s, axs, kink_sq):
-    """``sq_dists`` from the products ``_products`` returned."""
+    xx, a2s, axs = _products(centers, x, sqnorms)
     sq = []
     redo = []
     for k, (a2, ax) in enumerate(zip(a2s, axs)):
@@ -136,56 +130,46 @@ def ballsum_sweep(centers, x, radius, sqnorms=None):
     ``ballsum_subgrad_from`` takes.
 
     The value is summed in the sweep's row loop, in the row order of
-    ``ballsum_value_from``, so it is the same float.  A guard row sends the
-    call back through the recompute and that reduction before any distance
-    of it reaches ``math.sqrt`` (next to a center the expanded d^2 can be
-    negative), and so does a NaN or infinite distance.
+    ``ballsum_value_from``, so it is the same float; a NaN distance is not
+    a guard row and makes the sum NaN.
     """
     xx, a2s, axs = _products(centers, x, sqnorms)
     kink_sq = radius * radius
     total = 0.0
     sq = []
+    redo = []
     for a2, ax in zip(a2s, axs):
         scale = a2 + xx
         d2 = scale - 2.0 * ax
-        # "not >" also catches a NaN d2
-        if not d2 > NEAR_GUARD * scale or abs(d2 - kink_sq) <= KINK_GUARD * scale:
-            break
+        if d2 <= NEAR_GUARD * scale or abs(d2 - kink_sq) <= KINK_GUARD * scale:
+            k = len(sq)
+            redo.append(k)
+            d2 = float(((centers[k] - x) ** 2).sum())
         sq.append(d2)
         d = math.sqrt(d2)
         if not d <= radius:
             total += d - radius
-    else:
-        if math.isfinite(total):
-            return total, sq, []
-    sq, redo = _sq_dists(centers, x, xx, a2s, axs, kink_sq)
-    return ballsum_value_from(sq, radius), sq, redo
+    return total, sq, redo
 
 
 def minmax_value(centers, x, sqnorms=None):
     """(max_k ||x - a_k||, k), the lowest k attaining the computed maximum.
 
-    The maximum and its first index are kept in the sweep's row loop; a
-    guard row or a NaN or infinite distance sends the call back through
-    ``sq_dists``'s recompute, ``max`` and ``list.index``, whose floats, tie
-    rule and NaN results the loop reproduces on every other point.
+    The maximum and its first index are kept in the sweep's row loop by the
+    rule of ``max`` and ``list.index`` over ``sq_dists``: the first row
+    starts the maximum, so a NaN distance there is the result and a later
+    one is skipped.  Only the near guard applies: at ``kink_sq = inf`` the
+    kink margin of ``sq_dists`` marks no other row.
     """
     xx, a2s, axs = _products(centers, x, sqnorms)
-    best = -math.inf
-    j = 0
+    if not axs:
+        raise ValueError("centers has no rows")
     for k, (a2, ax) in enumerate(zip(a2s, axs)):
         scale = a2 + xx
         d2 = scale - 2.0 * ax
-        # a guard row or a NaN d2; with no kink (kink_sq = inf) the kink
-        # margin of sq_dists marks only rows of infinite scale, caught here too
-        if not d2 > NEAR_GUARD * scale:
-            break
-        if d2 > best:
+        if d2 <= NEAR_GUARD * scale:
+            d2 = float(((centers[k] - x) ** 2).sum())
+        if k == 0 or d2 > best:
             best = d2
             j = k
-    else:
-        if math.isfinite(best):  # an infinite d2, or no rows at all
-            return math.sqrt(best), j
-    sq = _sq_dists(centers, x, xx, a2s, axs, math.inf)[0]
-    best = max(sq)
-    return math.sqrt(best), sq.index(best)
+    return math.sqrt(best), j

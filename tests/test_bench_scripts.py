@@ -21,6 +21,7 @@ def _run_script(name, *args):
 def test_bench_kernels_runs_at_a_tiny_size():
     out = _run_script("bench_kernels.py", "--sizes", "30x3", "--repeats", "2")
     for row in ("ballsum_value", "minmax_value", "ballsum sweep", "minmax sweep",
+                "ballsum sweep, near", "minmax sweep, near", "ballsum sweep, kink",
                 "model_step projected", "core._trial inside", "core._trial projected",
                 "project inside, off 0",
                 "oracle.evaluate", "problem.evaluate", "Recorder.add",

@@ -127,7 +127,9 @@ class TestExperimentSpec:
     @pytest.mark.parametrize(
         "field, value",
         [(f, v) for f in ("L0", "Delta0", "delta0", "Delta", "delta")
-         for v in (np.nan, np.inf, -np.inf)] + [("L0", 0.0), ("L0", -1.0)],
+         for v in (np.nan, np.inf, -np.inf)] + [("L0", 0.0), ("L0", -1.0)]
+        + [("n", 2.5), ("m", 3.0), ("replications", 2.5), ("seed", 1.5), ("seed", -1),
+           ("iteration_grid", (1.5, 3))],
     )
     def test_bad_constants_refused_when_built(self, field, value):
         solver = {} if field in ("L0", "Delta0", "delta0") else {"solver": "algo1"}
@@ -141,8 +143,9 @@ class TestExperimentSpec:
             (["--solver", "algo1", "--delta", "inf"], None, "delta must be nonnegative and finite"),
             ([], "task = task1\nL0 = nan\n", "L0 must be positive and finite"),
             (["--epsilon", "inf"], None, "epsilon must be positive and finite"),
+            (["--seed", "-1"], None, "seed must be a non-negative integer"),
         ],
-        ids=["Delta-nan", "delta-inf", "config-L0-nan", "epsilon-inf"],
+        ids=["Delta-nan", "delta-inf", "config-L0-nan", "epsilon-inf", "seed-negative"],
     )
     def test_cli_refuses_non_finite_constants_before_generating(
         self, tmp_path, capsys, monkeypatch, args, config, message

@@ -302,6 +302,25 @@ def test_one_pass_sweeps_on_an_overflowing_distance():
     assert kernels.minmax_value(centers, x) == (math.inf, 1)
 
 
+@pytest.mark.parametrize("row, expected", [(0, (math.nan, 0)), (1, (2.5, 2)), (2, (2.5, 1))])
+def test_one_pass_sweeps_with_one_nan_distance(row, expected):
+    # A center with an infinite entry gives d^2 = inf - inf = NaN in its row
+    # alone: the ball sum is NaN, while the maximum is NaN only when that row
+    # starts it, as with max(); a later NaN row is skipped.
+    centers = np.insert(np.array([[1.0, 2.0], [3.0, -1.0]]), row, [np.inf, 0.0], axis=0)
+    x = np.array([1.0, 0.5])
+    _check_one_pass(centers, x, 1.0)
+    assert math.isnan(kernels.ballsum_sweep(centers, x, 1.0)[0])
+    np.testing.assert_equal(kernels.minmax_value(centers, x), expected)
+
+
+def test_sweeps_over_no_rows():
+    centers, x = np.empty((0, 3)), np.ones(3)
+    assert kernels.ballsum_sweep(centers, x, 1.0) == (0.0, [], [])
+    with pytest.raises(ValueError):
+        kernels.minmax_value(centers, x)
+
+
 def test_row_norms_of_the_wrong_length_are_refused():
     centers, x = _random_case(89, m=5, n=4)
     for sqnorms in (kernels.row_sqnorms(centers)[:4], np.ones(6)):
