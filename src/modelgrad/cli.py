@@ -165,10 +165,10 @@ def _smooth_point(problem, rng, smooth):
 def _cmd_check(args) -> int:
     n = 20 if args.n is None else args.n
     m = 6 if args.m is None else args.m
-    for flag, size in (("--n", n), ("--m", m)):
-        if size < 1:
-            raise ValueError(f"{flag} must be at least 1, got {size}")
     seed = args.seed or 0
+    for flag, value, least in (("--n", n, 1), ("--m", m, 1), ("--seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     ok = True
 

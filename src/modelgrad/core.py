@@ -315,8 +315,11 @@ def backtrack(attempt, triple, Delta_min, Delta_max, cap, k):
     None, doubling all three after each rejection.  Delta is kept in
     [``Delta_min``, ``Delta_max``]: (0, inf) lets it move freely, and
     (D, D) freezes it at D.  Returns (the attempt's result, L, delta,
-    Delta, trials) for the accepting call.  Raises ``NonTerminationError``
-    at iteration ``k`` after ``cap`` rejections.
+    Delta, trials) for the accepting call.  This is the one place a step
+    ends without acceptance: after ``cap`` rejections, or once the doubling
+    overflows L to inf (no attempt is made there), it raises
+    ``NonTerminationError`` at iteration ``k`` with the trials made and the
+    triple it would have tried next.
     """
     L, delta, Delta = triple
     L *= 0.5
@@ -325,7 +328,7 @@ def backtrack(attempt, triple, Delta_min, Delta_max, cap, k):
     if Delta < Delta_min:
         Delta = Delta_min
     trials = 0
-    while trials < cap:
+    while trials < cap and L < math.inf:
         trials += 1
         result = attempt(L, delta, Delta)
         if result is not None:
@@ -337,10 +340,10 @@ def backtrack(attempt, triple, Delta_min, Delta_max, cap, k):
             Delta = Delta_max
     triple = (L, delta, Delta)
     raise NonTerminationError(
-        f"no acceptance after {cap} trials at iteration {k} (next triple {triple})",
+        f"no acceptance after {trials} trials at iteration {k} (next triple {triple})",
         k,
         triple,
-        cap,
+        trials,
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .core import FeasibleSet, ModelOracle, Trace, Vector, aligned_empty, as_vector
 from .convex import ConvexConfig, convex_minimize
 from .nonsmooth import NonsmoothConfig, nonsmooth_minimize
-from .pl import PLConfig, _factors, pl_minimize, pl_rate_bound, pl_rate_bound_nonadaptive
+from .pl import PLConfig, _factors, pl_minimize, pl_rate_bound_nonadaptive
 from .problems import (
     L1Penalty,
     NoisyOracle,
@@ -125,11 +125,11 @@ class ExperimentSpec:
             )
         for name, low in (("n", 1), ("m", 1), ("replications", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
+            if type(value) is bool or not (isinstance(value, numbers.Integral) and value >= low):
                 kind = "positive" if low else "non-negative"
                 raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
         grid = tuple(self.iteration_grid)
-        if not all(isinstance(g, numbers.Integral) for g in grid):
+        if not all(isinstance(g, numbers.Integral) and type(g) is not bool for g in grid):
             raise ValueError(f"iteration_grid must be a sequence of integers, got {grid!r}")
         grid = tuple(int(v) for v in grid)
         if len(grid) == 0:
@@ -181,11 +181,6 @@ def default_solver(task: str) -> str:
     return _TASK_SOLVERS[task][0]
 
 
-_INT_FIELDS = {"n", "m", "replications", "seed"}
-_FLOAT_FIELDS = {"L0", "Delta0", "delta0", "Delta", "delta", "epsilon"}
-_STR_FIELDS = {"task", "solver", "mode"}
-
-
 def parse_grid(text: str) -> tuple:
     """Grid syntax: comma list "200,400,600" or range "start..stop[..step]".
 
@@ -212,6 +207,14 @@ def _format_grid(grid) -> str:
     return ",".join(str(int(g)) for g in grid)
 
 
+# how a config file's text becomes each field's value; the fields not named are strings
+_READERS = {
+    "iteration_grid": parse_grid,
+    **dict.fromkeys(("n", "m", "replications", "seed"), int),
+    **dict.fromkeys(("L0", "Delta0", "delta0", "Delta", "delta", "epsilon"), float),
+}
+
+
 def _read_config(path) -> dict:
     """The typed fields of a `key = value` file.
 
@@ -236,14 +239,7 @@ def _read_config(path) -> dict:
             if key in values:
                 raise ConfigError(f"duplicate key {key!r}", lineno)
             try:
-                if key == "iteration_grid":
-                    values[key] = parse_grid(rhs)
-                elif key in _INT_FIELDS:
-                    values[key] = int(rhs)
-                elif key in _FLOAT_FIELDS:
-                    values[key] = float(rhs)
-                elif key in _STR_FIELDS:
-                    values[key] = rhs
+                values[key] = _READERS.get(key, str)(rhs)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r}: {rhs!r} ({exc})", lineno
@@ -269,7 +265,7 @@ def write_config(spec: ExperimentSpec, path) -> None:
             continue
         if f.name == "iteration_grid":
             lines.append(f"{f.name} = {_format_grid(value)}")
-        elif f.name in _FLOAT_FIELDS:
+        elif _READERS.get(f.name) is float:
             lines.append(f"{f.name} = {repr(float(value))}")
         else:
             lines.append(f"{f.name} = {value}")
@@ -518,15 +514,14 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
             _solve(spec, _maybe_noisy(problem.oracle(), spec, rep_seed + 1), None, frozen)
             for frozen in (False, True)
         )
-        bound_a = pl_rate_bound(tr_a, problem.mu, spec.Delta)
-        bound_na = pl_rate_bound_nonadaptive(tr_a, problem.mu, spec.Delta)
-        a_bounds.append(bound_a)
-        na_bounds.append(bound_na)
+        factors = _factors(tr_a, problem.mu, spec.Delta, tr_a.Delta_hist)
+        factor_traces.append(factors)
+        a_bounds.append(float(np.prod(factors)))  # pl_rate_bound(tr_a, mu, Delta)
+        na_bounds.append(pl_rate_bound_nonadaptive(tr_a, problem.mu, spec.Delta))
         a_gaps.append(float(tr_a.f_final - problem.f_star))
         na_gaps.append(float(tr_na.f_final - problem.f_star))
-        factor_traces.append(_factors(tr_a, problem.mu, spec.Delta, tr_a.Delta_hist))
         gap0 = problem.value(np.zeros(spec.n)) - problem.f_star
-        est[r], times[r] = _at_grid(tr_a, grid, gap0, np.cumprod(factor_traces[-1]) * gap0)
+        est[r], times[r] = _at_grid(tr_a, grid, gap0, np.cumprod(factors) * gap0)
 
     return _table(
         grid,

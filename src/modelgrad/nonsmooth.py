@@ -132,10 +132,11 @@ def nonsmooth_minimize(
     bookkeeping per iteration: a delta-term exit contributes
     Delta_known * step to the certificate numerator (at most epsilon/2), a
     smooth exit contributes nothing.  A restart that uses up
-    ``max_inner_per_iter`` trials raises ``NonTerminationError`` with the
-    next (L, 0, Delta_known) of ``backtrack``'s doubling, whichever phase
-    ran out: the error does not say whether phase 1 ever passed.  Phase 2
-    raises it, too, when its doubling overflows L to inf.
+    ``max_inner_per_iter`` trials, or whose doubling overflows L to inf,
+    gets ``backtrack``'s ``NonTerminationError`` with the next (L, 0,
+    Delta_known), whichever phase ran out: the error does not say whether
+    phase 1 ever passed.  A phase 2 that ``L_class`` lifted can run ahead
+    of ``backtrack``'s L and reach inf first; it raises the error then.
     """
     if oracle.known_delta != 0:
         raise ValueError("the restarted method requires exact objective values")
@@ -147,33 +148,33 @@ def nonsmooth_minimize(
 
     def restart(k, x, anchor, f, g, triple):
         # One attempt runs both phases; ``backtrack`` counts its calls and
-        # doubles L between them.  Phase 1 (p is None) tests the plain
+        # doubles L between them.  Phase 1 (L2 is None) tests the plain
         # acceptance inequality at the frozen Delta, the same trial sequence
         # as algo1's when Delta_fixed = 0.  Its first pass, at L1, starts
         # phase 2 at L2 = max(L1, L_class): on that same trial when L1 is
-        # the larger, else with a new trial at L_class.  Each later call
-        # adds 1 to p and doubles L2.  Both exits are tested at L2, the L
-        # the step is recorded at; p keeps the accepting call's value.
+        # the larger, else with a new trial at L_class.  Each phase-2
+        # rejection adds 1 to p and doubles L2.  Both exits are tested at
+        # L2, the L the step is recorded at; p keeps the accepting value.
         p = L2 = None
 
         def attempt(L, delta, Delta):
             nonlocal p, L2
-            if p is not None:
-                p += 1
-                L = L2 = 2.0 * L2
+            if L2 is not None:
+                L = L2
             x_next = model_step(oracle, feasible, x, L, g)
             trial, psi, sq, step = _trial(oracle, x, anchor, g, x_next, k)
-            if p is None:
+            if L2 is None:
                 if not trial.value <= _acceptance_rhs(f, psi, L, 0.5 * sq, step, Delta, delta):
                     return None
-                if L < L_min:
-                    p, L2 = -1, 0.5 * L_min
+                p, L2 = 0, max(L, L_min)
+                if L2 != L:
                     return None
-                p, L2 = 0, L
             if Delta_fixed * step <= 0.5 * config.epsilon:
                 return x_next, trial, Delta_fixed, step, L
-            if trial.value <= f + psi + L * (0.5 * sq):
+            if trial.value <= _acceptance_rhs(f, psi, L, 0.5 * sq, step, 0.0, 0.0):
                 return x_next, trial, 0.0, step, L
+            p += 1
+            L2 *= 2.0
             return None
 
         (x_next, trial, Delta, step, L), _, _, _, trials = backtrack(

@@ -85,8 +85,8 @@ class PLConfig:
 
     def __post_init__(self):
         _check_run(self)
-        if self.Delta_cap is not None and not self.Delta_cap >= 0:
-            raise ValueError("Delta_cap must be nonnegative when given")
+        if self.Delta_cap is not None and not 0 <= self.Delta_cap < math.inf:
+            raise ValueError("Delta_cap must be nonnegative and finite when given")
 
 
 # the trace's per-step arrays, in the order ``pl_minimize`` passes them to ``Recorder.add``
@@ -150,9 +150,9 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     Each point is evaluated once, and its value and gradient are checked
     once: the accepted trial's evaluation gives the next iteration's
     gradient.  The run stops at the floor as soon as the gradient-error
-    estimate reaches the observed gradient norm, even when that happens on
-    the growth after the trial cap's last rejection.  The damped step has
-    no composite part, so an oracle with one is refused.
+    estimate reaches the observed gradient norm, even on the growth after
+    the last rejection ``backtrack`` allows.  The damped step has no
+    composite part, so an oracle with one is refused.
     """
     if oracle.composite_prox is not None:
         raise UnsupportedCombinationError("algo2 does not take a composite part")
@@ -177,8 +177,6 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         trial, psi, sq, step = _trial(oracle, x, ev, g_vec, x_next, k)
         if trial.value <= _acceptance_rhs(f_x, psi, L, 0.5 * sq, step, Delta, delta):
             return x_next, trial, h
-        if gn <= min(2.0 * Delta, Delta_max):  # the Delta backtrack would try next
-            return TERM_FLOOR
         return None
 
     for k in range(config.N + 1):  # step N only checks the last point's gradient
@@ -193,7 +191,10 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
                 attempt, triple, Delta_min, Delta_max, config.max_inner_per_iter, k
             )
         except NonTerminationError as err:
-            failure = err
+            if gn <= err.triple[2]:  # the trial it cut off was at the floor
+                termination = TERM_FLOOR
+            else:
+                failure = err
             break
         if result is TERM_FLOOR:
             termination = TERM_FLOOR

@@ -294,6 +294,40 @@ class TestBacktrack:
         assert info.value.partial_trace.f0 == 1.0
         _assert_one_row_per_step(info.value.partial_trace)
 
+    # the first query reads 0.5 and every later one 10, so no trial is
+    # accepted; from L0 = 1e300 the halved L overflows on its 29th doubling,
+    # long before the default cap of 100 trials
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda oracle: convex_minimize(
+                ConvexConfig(x0=np.zeros(2), L0=1e300, N=3), oracle, FeasibleSet.whole_space()),
+            lambda oracle: nonsmooth_minimize(
+                NonsmoothConfig(base=ConvexConfig(x0=np.zeros(2), L0=1e300, N=3), epsilon=0.1),
+                oracle, FeasibleSet.whole_space()),
+            lambda oracle: pl_minimize(PLConfig(x0=np.zeros(2), L0=1e300, N=3), oracle),
+        ],
+        ids=["algo1", "nonsmooth", "algo2"],
+    )
+    def test_each_solver_stops_when_L_doubles_to_inf(self, solve):
+        points = []
+
+        def value(x):
+            points.append(x.copy())
+            return 0.5 if len(points) == 1 else 10.0
+
+        oracle = FunctionOracle(value, lambda x: np.array([1.0, 0.0]))
+        with pytest.raises(NonTerminationError, match="after 29 trials") as info:
+            solve(oracle)
+        assert info.value.iteration == 0
+        assert info.value.inner_calls == 29
+        assert info.value.triple[0] == math.inf
+        # every trial point is a finite step from x0: none was formed at L = inf
+        assert len(points) == 30
+        assert not any(np.array_equal(x, points[0]) for x in points[1:])
+        assert info.value.partial_trace.N_run == 0
+        _assert_one_row_per_step(info.value.partial_trace)
+
     # f(x) = ||x||^2/2 reads 10 where x[0] < 0.5: the first step from (1, 0)
     # lands on (0.5, 0) at L = 2, every later trial falls short of it
     @pytest.mark.parametrize(

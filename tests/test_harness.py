@@ -129,7 +129,8 @@ class TestExperimentSpec:
         [(f, v) for f in ("L0", "Delta0", "delta0", "Delta", "delta")
          for v in (np.nan, np.inf, -np.inf)] + [("L0", 0.0), ("L0", -1.0)]
         + [("n", 2.5), ("m", 3.0), ("replications", 2.5), ("seed", 1.5), ("seed", -1),
-           ("iteration_grid", (1.5, 3))],
+           ("iteration_grid", (1.5, 3)), ("n", True), ("seed", False),
+           ("iteration_grid", (True, 3))],
     )
     def test_bad_constants_refused_when_built(self, field, value):
         solver = {} if field in ("L0", "Delta0", "delta0") else {"solver": "algo1"}
@@ -508,10 +509,13 @@ class TestCLI:
         assert main(["check", "--Delta", "1e-12", "--delta", "0"]) == 0
         assert "[FAIL]" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--n", "--m"])
-    def test_check_refuses_sizes_below_one(self, flag, capsys):
-        assert main(["check", flag, "0"]) == 2
-        assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value, least", [("--n", 0, 1), ("--m", 0, 1), ("--seed", -1, 0)],
+        ids=["--n", "--m", "--seed"],
+    )
+    def test_check_refuses_sizes_below_one(self, flag, value, least, capsys):
+        assert main(["check", flag, str(value)]) == 2
+        assert f"{flag} must be at least {least}, got {value}" in capsys.readouterr().err
 
     def test_check_runs_with_one_center(self, capsys):
         assert main(["check", "--n", "8", "--m", "1"]) == 0

@@ -239,7 +239,7 @@ class TestMinimize:
     @pytest.mark.parametrize(
         "field, value",
         [("delta0", math.nan), ("delta0", math.inf), ("Delta0", math.nan),
-         ("Delta0", math.inf), ("Delta_cap", math.nan)],
+         ("Delta0", math.inf), ("Delta_cap", math.nan), ("Delta_cap", math.inf)],
     )
     def test_non_finite_levels_refused_when_built(self, field, value):
         with pytest.raises(ValueError, match=field):
