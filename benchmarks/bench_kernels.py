@@ -74,22 +74,12 @@ def direct_minmax_value(centers, x):
     return float(dists[j]), j
 
 
-def ballsum_sweep(centers, x, radius, sqnorms):
-    """The sweep ``BallSumProblem`` makes per evaluation: one pass over the
-    rows where the kernels have ``ballsum_sweep``, else the two of
-    ``sq_dists`` and ``ballsum_value_from``."""
-    if hasattr(kernels, "ballsum_sweep"):
-        return kernels.ballsum_sweep(centers, x, radius, sqnorms)
-    sq, redo = kernels.sq_dists(centers, x, sqnorms, radius * radius)
-    return kernels.ballsum_value_from(sq, radius), sq, redo
-
-
 def sweep_ballsum_value(centers, x, radius, sqnorms):
-    return ballsum_sweep(centers, x, radius, sqnorms)[0]
+    return kernels.ballsum_sweep(centers, x, radius, sqnorms)[0]
 
 
 def sweep_ballsum_subgrad(centers, x, radius, sqnorms):
-    _, sq, redo = ballsum_sweep(centers, x, radius, sqnorms)
+    _, sq, redo = kernels.ballsum_sweep(centers, x, radius, sqnorms)
     return kernels.ballsum_subgrad_from(centers, x, radius, sq, redo)
 
 
@@ -121,11 +111,11 @@ def trial_path_cases(centers, x, rng):
     y_out = convex.model_step(oracle, feasible, x, 1.0, g_out)
     rec = core.Recorder(x, False)
     return (
-        ("ballsum sweep", lambda: ballsum_sweep(centers, x, 1.0, sqnorms)),
+        ("ballsum sweep", lambda: kernels.ballsum_sweep(centers, x, 1.0, sqnorms)),
         ("minmax sweep", lambda: kernels.minmax_value(centers, x, minmax.sqnorms)),
-        ("ballsum sweep, near", lambda: ballsum_sweep(centers, near, 1.0, sqnorms)),
+        ("ballsum sweep, near", lambda: kernels.ballsum_sweep(centers, near, 1.0, sqnorms)),
         ("minmax sweep, near", lambda: kernels.minmax_value(centers, near, minmax.sqnorms)),
-        ("ballsum sweep, kink", lambda: ballsum_sweep(centers, kink, 1.0, sqnorms)),
+        ("ballsum sweep, kink", lambda: kernels.ballsum_sweep(centers, kink, 1.0, sqnorms)),
         ("model_step inside", lambda: convex.model_step(oracle, feasible, x, L_in, g)),
         ("model_step projected", lambda: convex.model_step(oracle, feasible, x, 1.0, g_out)),
         ("core._trial inside", lambda: core._trial(oracle, x, anchor, g, y_in, 0)),

@@ -100,10 +100,9 @@ def _cmd_solve(args) -> int:
     trace = run_single(spec)
     out = args.out or "trace.csv"
     write_csv(trace, out)
-    last_f = trace.f_values[-1] if len(trace.f_values) else trace.f0
     print(
         f"solved {spec.task} (n={spec.n}, m={spec.m}, solver={spec.solver}): "
-        f"{len(trace.f_values)} iterations, final f = {last_f:.6g}, trace -> {out}"
+        f"{trace.N_run} iterations, final f = {trace.f_final:.6g}, trace -> {out}"
     )
     return 0
 
@@ -119,11 +118,8 @@ def _cmd_table1(args) -> int:
     print(f"{spec.task}: n={spec.n}, m={spec.m}, solver={spec.solver}, "
           f"reps={spec.replications}")
     print(f"{'iters':>8} {'mean_estimate':>16} {'std':>12} {'time_ms':>10}")
-    for i, n_iters in enumerate(table.iters):
-        print(
-            f"{n_iters:>8} {table.mean_estimate[i]:>16.6g} "
-            f"{table.std_estimate[i]:>12.4g} {table.mean_time_ms[i]:>10.1f}"
-        )
+    for row in zip(table.iters, table.mean_estimate, table.std_estimate, table.mean_time_ms):
+        print("{:>8} {:>16.6g} {:>12.4g} {:>10.1f}".format(*row))
     print(f"table -> {out}")
     return 0
 

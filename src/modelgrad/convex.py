@@ -102,9 +102,12 @@ class ConvexTrace(Trace):
     p_hist: np.ndarray
     S_N: float
     x_hat: Vector
-    total_inner_calls: int
     best_x: Vector
     stopped_early: bool
+
+    @property
+    def total_inner_calls(self) -> int:
+        return int(self.inner_hist.sum())
 
 
 def model_step(
@@ -185,7 +188,7 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
         raise ValueError("x0 lies outside the feasible set")
     x0 = x = config.x0
     anchor = oracle.evaluate(x0)
-    f = f0 = best_f = checked_value(anchor.value, 0)
+    f = f0 = best_f = checked_value(anchor.value, 0)  # best_f picks best_x
     best_x = x0
     triple = (config.L0, config.delta0, config.Delta0)
     S = 0.0
@@ -200,7 +203,7 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
     failure = None
     rec = Recorder(x0, config.store_iterates)
     for k in range(config.N):
-        g = checked_gradient(anchor.gradient(), k)
+        g = checked_gradient(anchor.gradient(), x, k)
         try:
             x, anchor, L, delta, Delta, step, trials, p = advance(k, x, anchor, f, g, triple)
         except NonTerminationError as err:
@@ -220,16 +223,13 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
         if config.epsilon is not None and cert <= config.epsilon:
             stopped_early = True
             break
-    columns = rec.columns(_COLUMNS)
     trace = ConvexTrace(
-        **columns,
+        **rec.columns(_COLUMNS),
         x0=x0,
         f0=f0,
         S_N=S,
         x_hat=weighted_sum / S if rec.rows else x0,
         x_final=x,
-        total_inner_calls=int(columns["inner_hist"].sum()),
-        best_f=best_f,
         best_x=best_x,
         stopped_early=stopped_early,
         iterates=rec.iterates,

@@ -132,8 +132,12 @@ def checked_value(f: float, iteration: int) -> float:
     return f
 
 
-def checked_gradient(g: Vector, iteration: int) -> Vector:
-    """Return the oracle gradient ``g``, refusing NaN or infinite entries."""
+def checked_gradient(g: Vector, x: Vector, iteration: int) -> Vector:
+    """Return the oracle gradient ``g`` at ``x``, refusing one whose length
+    is not x's (``DimensionMismatchError``) or with NaN or infinite entries."""
+    if len(g) != len(x):
+        msg = f"oracle gradient at iteration {iteration} has length {len(g)}, the iterate {len(x)}"
+        raise DimensionMismatchError(msg)
     if not all_finite(g):
         raise NonFiniteOracleError("gradient", iteration)
     return g
@@ -228,12 +232,15 @@ class FeasibleSet:
             return _onto_sphere(x - self.center, dist, self.center, self.radius)
         return project_ball(x, self.center, self.radius)
 
-    def contains(self, x: Vector, tol: float = 1e-9) -> bool:
+    def contains(self, x: Vector) -> bool:
+        """Whether ``x`` lies in the set, to a relative 1e-9 of a ball's
+        radius.  The solvers ask it of x0 only; it is looser than the few
+        ulp ``project`` allows (``_BOUNDARY``)."""
         if self.kind == self.WHOLE_SPACE:
             return True
         if len(x) != len(self.center):
             raise DimensionMismatchError("point and center dimensions differ")
-        return float(np.linalg.norm(x - self.center)) <= self.radius * (1.0 + tol)
+        return float(np.linalg.norm(x - self.center)) <= self.radius * (1.0 + 1e-9)
 
 
 def project_ball(x: Vector, center: Vector, radius: float) -> Vector:
@@ -388,7 +395,9 @@ class Trace:
     ``step_norms`` and ``cert_hist``, the step length and the online
     certificate of each step (NaN where the solver has none).  A run that
     completes N or stops on the certificate made 1 + ``inner_hist.sum()``
-    evaluations and ``N_run`` gradients (algo2: ``N_run`` + 1).
+    evaluations and ``N_run`` gradients (algo2: ``N_run`` + 1).  The
+    summaries ``N_run``, ``best_f`` and ``f_final`` are read from
+    ``f_values`` and ``f0``, so they cannot contradict them.
     """
 
     x0: Vector
@@ -400,12 +409,21 @@ class Trace:
     inner_hist: np.ndarray
     elapsed_ms: np.ndarray
     x_final: Vector
-    best_f: float
     iterates: Optional[list] = None
 
     @property
     def N_run(self) -> int:
         return len(self.f_values)
+
+    @property
+    def best_f(self) -> float:
+        """The least of f0 and the accepted values."""
+        return float(min(self.f0, self.f_values.min(initial=math.inf)))
+
+    @property
+    def f_final(self) -> float:
+        """The value at ``x_final``: the last accepted value, or f0."""
+        return float(self.f_values[-1]) if self.N_run else self.f0
 
     def f_best_running(self) -> np.ndarray:
         """Best objective value seen up to each iteration (including f0)."""

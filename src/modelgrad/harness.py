@@ -166,14 +166,22 @@ class ExperimentSpec:
 
 @dataclass
 class ResultTable:
-    """Aggregated grid results plus per-seed values for auditing."""
+    """Aggregated grid results plus per-seed values for auditing; the
+    properties ``mean_estimate`` and ``std_estimate`` are the mean and the
+    standard deviation (ddof 0) of ``per_seed_estimates`` per grid value."""
 
     iters: tuple
-    mean_estimate: tuple
-    std_estimate: tuple
     mean_time_ms: tuple
     per_seed_estimates: np.ndarray  # shape (replications, len(iters))
     aux: dict
+
+    @property
+    def mean_estimate(self) -> tuple:
+        return tuple(self.per_seed_estimates.mean(axis=0).tolist())
+
+    @property
+    def std_estimate(self) -> tuple:
+        return tuple(self.per_seed_estimates.std(axis=0, ddof=0).tolist())
 
 
 def default_solver(task: str) -> str:
@@ -285,31 +293,22 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def write_csv(obj, path) -> None:
-    """Serialize a trace or a ResultTable; full float precision, atomic."""
+    """Serialize a trace or a ResultTable; full float precision, atomic.
+    An entry is the ``repr`` of the int or float its column's ``tolist``
+    gives."""
     if isinstance(obj, ResultTable):
-        lines = [TABLE_COLUMNS]
-        for i, n_iters in enumerate(obj.iters):
-            lines.append(
-                f"{int(n_iters)},{_fmt(obj.mean_estimate[i])},"
-                f"{_fmt(obj.std_estimate[i])},{_fmt(obj.mean_time_ms[i])}"
-            )
+        header = TABLE_COLUMNS
+        cols = (obj.iters, obj.mean_estimate, obj.std_estimate, obj.mean_time_ms)
     elif isinstance(obj, Trace):
-        lines = [TRACE_COLUMNS]
-        cols = (obj.f_values, obj.f_best_running(), obj.L_hist, obj.delta_hist, obj.Delta_hist,
-                obj.inner_hist, obj.step_norms, obj.cert_hist, obj.elapsed_ms)
-        for it, (fv, fb, lk, dk, Dk, ic, sn, cb, ms) in enumerate(zip(*cols), 1):
-            lines.append(
-                f"{it},{_fmt(fv)},{_fmt(fb)},{_fmt(lk)},{_fmt(dk)},{_fmt(Dk)},"
-                f"{int(ic)},{_fmt(sn)},{_fmt(cb)},{_fmt(ms)}"
-            )
+        header = TRACE_COLUMNS
+        cols = (range(1, obj.N_run + 1), obj.f_values, obj.f_best_running(), obj.L_hist,
+                obj.delta_hist, obj.Delta_hist, obj.inner_hist, obj.step_norms, obj.cert_hist,
+                obj.elapsed_ms)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} as a trace")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = zip(*(np.asarray(col).tolist() for col in cols))
+    _atomic_write(path, "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n")
 
 
 def _rep_seeds(spec: ExperimentSpec) -> list:
@@ -440,16 +439,8 @@ def _at_grid(trace, grid, start: float, *series) -> list:
 
 def _table(grid, est: np.ndarray, times: np.ndarray, aux: dict) -> ResultTable:
     """The table of per-seed estimates ``est`` and times ``times``, each of
-    shape (replications, len(grid)): their means and standard deviations
-    over the seeds, per grid value."""
-    return ResultTable(
-        iters=tuple(grid),
-        mean_estimate=tuple(float(v) for v in est.mean(axis=0)),
-        std_estimate=tuple(float(v) for v in est.std(axis=0, ddof=0)),
-        mean_time_ms=tuple(float(v) for v in times.mean(axis=0)),
-        per_seed_estimates=est,
-        aux=aux,
-    )
+    shape (replications, len(grid)), with the times' mean per grid value."""
+    return ResultTable(tuple(grid), tuple(times.mean(axis=0).tolist()), est, aux)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -477,7 +468,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         else:  # the best value, and the last on the side
             lb = 0.0 if problem is None else problem.f_star  # composite has no problem object
             series = (best - lb, trace.f_values - lb)
-            f_hat_final.append(float(trace.f_values[-1] if trace.N_run else trace.f0))
+            f_hat_final.append(trace.f_final)
         est[r], gaps[r], times[r] = _at_grid(trace, grid, float(trace.f0 - lb), *series)
 
     return _table(

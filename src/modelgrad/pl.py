@@ -103,7 +103,6 @@ class PLTrace(Trace):
     termination: str
     final_g_norm: float
     clamp: Optional[float]
-    f_final: float
 
     @property
     def step_norms(self) -> np.ndarray:
@@ -158,7 +157,7 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         raise UnsupportedCombinationError("algo2 does not take a composite part")
     x = x0 = config.x0
     ev = oracle.evaluate(x)
-    f_x = f0 = best_f = checked_value(ev.value, 0)
+    f_x = f0 = checked_value(ev.value, 0)
     Delta_cap = math.inf if config.Delta_cap is None else config.Delta_cap
     triple = (config.L0, config.delta0, min(config.Delta0, Delta_cap))
     # a frozen estimate stays at its start value
@@ -182,8 +181,8 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
     for k in range(config.N + 1):  # step N only checks the last point's gradient
         g_vec = ev.gradient()
         gn = norm(g_vec)
-        if not math.isfinite(gn):  # a non-finite entry, or only an overflow
-            checked_gradient(g_vec, k)
+        if len(g_vec) != len(x) or not math.isfinite(gn):  # or gn only overflows
+            checked_gradient(g_vec, x, k)
         if k == config.N:
             break
         try:
@@ -203,8 +202,6 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         triple = (L, delta, Delta)
         f_x = ev.value
         rec.add(x, f_x, gn, h, L, Delta, delta, inner)
-        if f_x < best_f:
-            best_f = f_x
 
     trace = PLTrace(
         **rec.columns(_COLUMNS),
@@ -214,8 +211,6 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         final_g_norm=gn,
         clamp=config.Delta_cap,
         x_final=x,
-        f_final=f_x,
-        best_f=best_f,
         iterates=rec.iterates,
     )
     if failure is not None:

@@ -243,8 +243,6 @@ class TestCertificate:
             S_N=0.5,
             x_hat=np.zeros(2),
             x_final=np.zeros(2),
-            total_inner_calls=1,
-            best_f=0.5,
             best_x=np.zeros(2),
             stopped_early=False,
             iterates=[np.array([2.0, 0.0]), np.zeros(2)],

@@ -363,6 +363,31 @@ class TestBacktrack:
             assert type(partial.total_inner_calls) is int
         _assert_one_row_per_step(partial)
 
+    # the gradient of f(x) = x.x / 2 at x0 = (1,) is read as (1, 1, 1)
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda oracle: convex_minimize(
+                ConvexConfig(x0=np.ones(1), N=3), oracle, FeasibleSet.whole_space()),
+            lambda oracle: nonsmooth_minimize(
+                NonsmoothConfig(base=ConvexConfig(x0=np.ones(1), N=3), epsilon=0.1),
+                oracle, FeasibleSet.whole_space()),
+            lambda oracle: pl_minimize(PLConfig(x0=np.ones(1), N=3), oracle),
+        ],
+        ids=["algo1", "nonsmooth", "algo2"],
+    )
+    def test_each_solver_refuses_a_gradient_of_another_length(self, solve):
+        points = []
+
+        def value(x):
+            points.append(x.copy())
+            return 0.5 * float(x @ x)
+
+        oracle = FunctionOracle(value, lambda x: np.full(3, x[0]))
+        with pytest.raises(DimensionMismatchError, match="0 has length 3, the iterate 1"):
+            solve(oracle)
+        assert len(points) == 1
+
 
 def _assert_one_row_per_step(trace):
     """Every per-step column has N_run entries; the iterates add x0."""
@@ -371,6 +396,11 @@ def _assert_one_row_per_step(trace):
         assert len(getattr(trace, name)) == trace.N_run, name
     assert len(trace.f_best_running()) == trace.N_run
     assert len(trace.iterates) == trace.N_run + 1
+    # the summaries read the columns
+    assert trace.best_f == min([trace.f0, *trace.f_values])
+    assert trace.f_final == (trace.f_values[-1] if trace.N_run else trace.f0)
+    if isinstance(trace, ConvexTrace):
+        assert trace.total_inner_calls == trace.inner_hist.sum()
 
 
 class TestModelOracle:

@@ -107,6 +107,7 @@ class TestMinimize:
         assert trace.N_run == 0
         assert trace.termination == TERM_FLOOR
         assert trace.f_final == trace.f0
+        assert trace.best_f == trace.f0
         np.testing.assert_array_equal(trace.x_final, prob.x_star)
 
     def test_exact_run_is_monotone_and_meets_rate_bound(self):
@@ -263,8 +264,6 @@ def synthetic_trace(g_norms, final_g_norm, clamp, L=1.0):
         final_g_norm=final_g_norm,
         clamp=clamp,
         x_final=np.zeros(2),
-        f_final=0.5 if n else 1.0,
-        best_f=0.5 if n else 1.0,
         iterates=None,
     )
 
