@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     CertificateUnavailableError,
+    DimensionMismatchError,
     FeasibleSet,
     ModelOracle,
     NonTerminationError,
@@ -33,6 +34,7 @@ from .core import (
     backtrack,
     checked_gradient,
     checked_value,
+    per_step,
 )
 
 __all__ = [
@@ -74,13 +76,6 @@ class ConvexConfig:
             raise ValueError("epsilon must be positive")
 
 
-# the trace's per-step arrays, in the order ``_run`` passes them to ``Recorder.add``
-_COLUMNS = (
-    "f_values", "L_hist", "delta_hist", "Delta_hist", "inner_hist", "step_norms", "cert_hist",
-    "p_hist",
-)
-
-
 @dataclass(kw_only=True)
 class ConvexTrace(Trace):
     """Record of one run of algo1 or of the restarted method.
@@ -97,9 +92,9 @@ class ConvexTrace(Trace):
     counts the restart's fixed-Delta doublings at step k (0 for algo1).
     """
 
-    step_norms: np.ndarray
-    cert_hist: np.ndarray
-    p_hist: np.ndarray
+    step_norms: np.ndarray = per_step()
+    cert_hist: np.ndarray = per_step()
+    p_hist: np.ndarray = per_step(np.int64)
     S_N: float
     x_hat: Vector
     best_x: Vector
@@ -130,7 +125,7 @@ def model_step(
     if not L > 0:
         raise ValueError("L must be positive")
     if len(g) != len(x_k):
-        raise ValueError("oracle gradient dimension differs from the iterate")
+        raise DimensionMismatchError(f"oracle gradient has length {len(g)}, the iterate {len(x_k)}")
     v = g / -L
     v += x_k
     prox = oracle.composite_prox
@@ -223,8 +218,8 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
         if config.epsilon is not None and cert <= config.epsilon:
             stopped_early = True
             break
-    trace = ConvexTrace(
-        **rec.columns(_COLUMNS),
+    trace = rec.trace(
+        ConvexTrace,
         x0=x0,
         f0=f0,
         S_N=S,
@@ -232,7 +227,6 @@ def _run(config: ConvexConfig, oracle: ModelOracle, feasible: FeasibleSet, advan
         x_final=x,
         best_x=best_x,
         stopped_early=stopped_early,
-        iterates=rec.iterates,
     )
     if failure is not None:
         failure.partial_trace = trace

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -326,12 +326,16 @@ def backtrack(attempt, triple, Delta_min, Delta_max, cap, k):
     ends without acceptance: after ``cap`` rejections, or once the doubling
     overflows L to inf (no attempt is made there), it raises
     ``NonTerminationError`` at iteration ``k`` with the trials made and the
-    triple it would have tried next.
+    triple it would have tried next.  At the other end, the halving of all
+    three is skipped once L <= 2^-900: a run that sits at a minimizer takes
+    zero-length steps that every L accepts, and without the floor L would
+    halve until 1/L, the step's weight in algo1's average, overflowed.
     """
     L, delta, Delta = triple
-    L *= 0.5
-    delta *= 0.5
-    Delta *= 0.5
+    if L > 2.0**-900:
+        L *= 0.5
+        delta *= 0.5
+        Delta *= 0.5
     if Delta < Delta_min:
         Delta = Delta_min
     trials = 0
@@ -375,23 +379,28 @@ class Recorder:
         if self.iterates is not None:
             self.iterates.append(x)
 
-    def columns(self, names) -> dict:
-        """One array per name, the values ``add`` took in that order, plus
-        ``elapsed_ms``: the counts ``inner_hist`` and ``p_hist`` as int64,
-        the others as float64."""
-        names = (*names, "elapsed_ms")
-        cols = zip(*self.rows) if self.rows else [()] * len(names)
-        return {
-            name: np.array(col, np.int64 if name in ("inner_hist", "p_hist") else np.float64)
-            for name, col in zip(names, cols)
-        }
+    def trace(self, cls, **summary):
+        """The trace ``cls`` of the run, its other fields from ``summary``:
+        the values ``add`` took fill cls's ``per_step`` fields in declaration
+        order, each an array of its dtype, then ``elapsed_ms``."""
+        steps = [f for f in fields(cls) if "dtype" in f.metadata]
+        cols = tuple(zip(*self.rows)) or ((),) * (len(steps) + 1)
+        arrays = {f.name: np.array(col, f.metadata["dtype"]) for f, col in zip(steps, cols)}
+        return cls(**arrays, elapsed_ms=np.array(cols[-1]), iterates=self.iterates, **summary)
+
+
+def per_step(dtype=np.float64):
+    """A trace field holding one ``dtype`` value per accepted step."""
+    return field(metadata={"dtype": dtype})
 
 
 @dataclass(kw_only=True)
 class Trace:
     """Record of one run; every per-step array covers the accepted steps.
 
-    The fields the three solvers share.  Each subclass also provides
+    The fields the three solvers share.  The ``per_step`` fields, here and
+    in each subclass, are the one schema of a step: ``Recorder.add`` takes
+    their values in declaration order.  Each subclass also provides
     ``step_norms`` and ``cert_hist``, the step length and the online
     certificate of each step (NaN where the solver has none).  A run that
     completes N or stops on the certificate made 1 + ``inner_hist.sum()``
@@ -402,11 +411,11 @@ class Trace:
 
     x0: Vector
     f0: float
-    f_values: np.ndarray
-    L_hist: np.ndarray
-    delta_hist: np.ndarray
-    Delta_hist: np.ndarray
-    inner_hist: np.ndarray
+    f_values: np.ndarray = per_step()
+    L_hist: np.ndarray = per_step()
+    delta_hist: np.ndarray = per_step()
+    Delta_hist: np.ndarray = per_step()
+    inner_hist: np.ndarray = per_step(np.int64)
     elapsed_ms: np.ndarray
     x_final: Vector
     iterates: Optional[list] = None

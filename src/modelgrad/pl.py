@@ -35,6 +35,7 @@ from .core import (
     checked_gradient,
     checked_value,
     norm,
+    per_step,
 )
 
 __all__ = [
@@ -89,17 +90,13 @@ class PLConfig:
             raise ValueError("Delta_cap must be nonnegative and finite when given")
 
 
-# the trace's per-step arrays, in the order ``pl_minimize`` passes them to ``Recorder.add``
-_COLUMNS = ("f_values", "g_norms", "h_steps", "L_hist", "Delta_hist", "delta_hist", "inner_hist")
-
-
 @dataclass(kw_only=True)
 class PLTrace(Trace):
     """Record of one run of algo2: ``g_norms[k]`` is the observed gradient
     norm at step k and ``h_steps[k]`` the step size along the gradient."""
 
-    g_norms: np.ndarray
-    h_steps: np.ndarray
+    g_norms: np.ndarray = per_step()
+    h_steps: np.ndarray = per_step()
     termination: str
     final_g_norm: float
     clamp: Optional[float]
@@ -201,17 +198,16 @@ def pl_minimize(config: PLConfig, oracle: ModelOracle) -> PLTrace:
         x, ev, h = result
         triple = (L, delta, Delta)
         f_x = ev.value
-        rec.add(x, f_x, gn, h, L, Delta, delta, inner)
+        rec.add(x, f_x, L, delta, Delta, inner, gn, h)
 
-    trace = PLTrace(
-        **rec.columns(_COLUMNS),
+    trace = rec.trace(
+        PLTrace,
         x0=x0,
         f0=f0,
         termination=termination,
         final_g_norm=gn,
         clamp=config.Delta_cap,
         x_final=x,
-        iterates=rec.iterates,
     )
     if failure is not None:
         failure.partial_trace = trace

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     _EPS,
+    DimensionMismatchError,
     Evaluation,
     FeasibleSet,
     ModelOracle,
@@ -278,7 +279,8 @@ class NoisyOracle(ModelOracle):
     the lower model by an extra Delta per unit distance, so gamma
     accumulates accordingly; so does the value gap, ``known_delta``, which
     is unknown (None) when the wrapped oracle's is.  The adversarial mode's
-    ``direction`` is scaled to unit norm (drawn at random when omitted).
+    ``direction`` is scaled to unit norm (drawn at random when omitted); a
+    point of another length raises ``DimensionMismatchError``.
     """
 
     MODES = ("random-sphere", "adversarial-fixed-direction")
@@ -321,6 +323,9 @@ class NoisyOracle(ModelOracle):
             if self._direction is None:
                 d = self._rng.standard_normal(n)
                 self._direction = d / norm(d)
+            if len(self._direction) != n:
+                msg = f"adversarial direction has length {len(self._direction)}, the point {n}"
+                raise DimensionMismatchError(msg)
             u, scale = self._direction, self.Delta
         else:
             u = self._rng.standard_normal(n)

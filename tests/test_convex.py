@@ -14,6 +14,7 @@ from modelgrad.convex import (
 )
 from modelgrad.core import (
     CertificateUnavailableError,
+    DimensionMismatchError,
     Evaluation,
     FeasibleSet,
     FunctionOracle,
@@ -65,6 +66,10 @@ class TestModelStep:
     def test_rejects_nonpositive_L(self):
         with pytest.raises(ValueError):
             model_step(linear_oracle([1.0]), WHOLE, np.zeros(1), 0.0, np.array([1.0]))
+
+    def test_refuses_a_gradient_of_another_length(self):
+        with pytest.raises(DimensionMismatchError, match="length 3, the iterate 2"):
+            model_step(linear_oracle([1.0, 0.0]), WHOLE, np.zeros(2), 1.0, np.ones(3))
 
 
 class TestAcceptance:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -251,6 +252,7 @@ class TestBacktrack:
                      adapt_Delta=adapt, N=5), oracle)
         assert (trace.termination, trace.N_run, trace.final_g_norm) == (TERM_FLOOR, 0, 1.0)
         assert calls == []
+        _assert_one_row_per_step(trace)
 
     @given(st.floats(1e-6, 1e6), st.integers(1, 12))
     @settings(max_examples=50, deadline=None)
@@ -388,12 +390,38 @@ class TestBacktrack:
             solve(oracle)
         assert len(points) == 1
 
+    # f(x) = x.x / 2 from (1, 1, 1): the first step, at L = 1, lands on the
+    # minimizer, and every later zero-length step is accepted at once
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda oracle, base: convex_minimize(base, oracle, FeasibleSet.whole_space()),
+            lambda oracle, base: nonsmooth_minimize(
+                NonsmoothConfig(base=base, epsilon=0.1), oracle, FeasibleSet.whole_space())[0],
+            lambda oracle, base: pl_minimize(PLConfig(x0=base.x0, N=base.N), oracle),
+        ],
+        ids=["algo1", "nonsmooth", "algo2"],
+    )
+    def test_each_solver_stops_halving_L_at_the_floor(self, solve):
+        trace = solve(_half_square(), ConvexConfig(x0=np.ones(3), N=1080, R=1.0))
+        if isinstance(trace, ConvexTrace):  # L halves from 1 to 2^-900 and stays there
+            assert trace.N_run == 1080
+            np.testing.assert_array_equal(trace.L_hist, 2.0 ** -np.minimum(np.arange(1080), 900))
+            np.testing.assert_array_equal(trace.x_hat, np.zeros(3))
+            assert np.isfinite(trace.cert_hist).all()
+        else:  # algo2 reads ||g|| = 0 at the minimizer: the floor stops it
+            assert (trace.termination, trace.N_run) == (TERM_FLOOR, 1)
+        _assert_one_row_per_step(trace)
+
 
 def _assert_one_row_per_step(trace):
-    """Every per-step column has N_run entries; the iterates add x0."""
-    for name in ("f_values", "L_hist", "delta_hist", "Delta_hist", "inner_hist",
-                 "step_norms", "cert_hist", "elapsed_ms"):
-        assert len(getattr(trace, name)) == trace.N_run, name
+    """Every per-step field of the trace class holds N_run values of its
+    declared dtype, as does elapsed_ms; the iterates add x0."""
+    for f in dataclasses.fields(trace):
+        if "dtype" in f.metadata:  # counts stay int64, even when empty
+            column = getattr(trace, f.name)
+            assert (column.dtype, column.shape) == (f.metadata["dtype"], (trace.N_run,)), f.name
+    assert (trace.elapsed_ms.dtype, trace.elapsed_ms.shape) == (np.float64, (trace.N_run,))
     assert len(trace.f_best_running()) == trace.N_run
     assert len(trace.iterates) == trace.N_run + 1
     # the summaries read the columns

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from modelgrad.core import FeasibleSet, FunctionOracle, UnsupportedCombinationError, norm
+from modelgrad.core import (
+    DimensionMismatchError,
+    FeasibleSet,
+    FunctionOracle,
+    UnsupportedCombinationError,
+    norm,
+)
 from modelgrad.problems import (
     BallSumProblem,
     CompositeOracle,
@@ -325,14 +331,25 @@ class TestNoisyOracle:
                 NoisyOracle(prob.oracle(), Delta=0.1, direction=direction)
 
     def test_envelope_violation_raises(self):
-        # a one-entry direction broadcasts over all four coordinates, so the
-        # perturbation has norm 2 * Delta; the check must raise, not assert
+        # a direction of norm 2 makes a perturbation of norm 2 * Delta; the
+        # check must raise, not assert
         prob = self._base()
-        noisy = NoisyOracle(
-            prob.oracle(), Delta=0.1, mode="adversarial-fixed-direction", direction=[3.0]
-        )
+        noisy = NoisyOracle(prob.oracle(), Delta=0.1, mode="adversarial-fixed-direction")
+        noisy._direction = np.ones(4)
         with pytest.raises(ValueError, match="envelope"):
             noisy.evaluate(np.ones(4)).gradient()
+
+    @pytest.mark.parametrize("direction", [None, [3.0], [1.0, 2.0, 3.0]])
+    def test_direction_of_another_length_refused(self, direction):
+        # a given direction, or the one drawn at a first point of length 4
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        noisy = NoisyOracle(oracle, Delta=0.1, mode="adversarial-fixed-direction",
+                            direction=direction)
+        if direction is None:
+            noisy.evaluate(np.ones(4)).gradient()
+        length = 4 if direction is None else len(direction)
+        with pytest.raises(DimensionMismatchError, match=f"length {length}, the point 5"):
+            noisy.evaluate(np.ones(5)).gradient()
 
     def test_rounding_beside_a_large_gradient_stays_within_the_envelope(self):
         # (1 + 1e-9) - 1 reads 1.00000008e-9: the sum's rounding, not the
