@@ -211,10 +211,6 @@ def parse_grid(text: str) -> tuple:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _format_grid(grid) -> str:
-    return ",".join(str(int(g)) for g in grid)
-
-
 # how a config file's text becomes each field's value; the fields not named are strings
 _READERS = {
     "iteration_grid": parse_grid,
@@ -272,7 +268,7 @@ def write_config(spec: ExperimentSpec, path) -> None:
         if value is None:
             continue
         if f.name == "iteration_grid":
-            lines.append(f"{f.name} = {_format_grid(value)}")
+            lines.append(f"{f.name} = {','.join(map(str, value))}")
         elif _READERS.get(f.name) is float:
             lines.append(f"{f.name} = {repr(float(value))}")
         else:
@@ -316,19 +312,6 @@ def _rep_seeds(spec: ExperimentSpec) -> list:
     return [int(s) for s in ss.generate_state(spec.replications, np.uint64)]
 
 
-def _nonsmooth_class_Delta(spec: ExperimentSpec) -> float:
-    if spec.Delta0 > 0:
-        return spec.Delta0
-    # conservative kink budgets: each distance term's subgradient jump is
-    # at most 1, doubled by the class-to-model conversion
-    return 2.0 * spec.m if spec.task == "task1" else 2.0
-
-
-def _geometric_problem(spec: ExperimentSpec, rep_seed: int):
-    gen = generate_task1 if spec.task == "task1" else generate_task2
-    return gen(n=spec.n, m=spec.m, seed=rep_seed)
-
-
 def _least_squares_data(spec: ExperimentSpec, rep_seed: int):
     """The (m, n) matrix ``A``, aligned and read-only, and then ``b`` of a
     least-squares replication, drawn from ``rep_seed``."""
@@ -366,27 +349,24 @@ def _prepare(spec: ExperimentSpec, rep_seed: int):
         oracle = _maybe_noisy(_composite_objects(spec, rep_seed), spec, rep_seed + 1)
         return None, oracle, FeasibleSet.whole_space()
     quadratic = spec.task == "pl-quadratic"
-    problem = (_quadratic_problem if quadratic else _geometric_problem)(spec, rep_seed)
+    if quadratic:
+        problem = _quadratic_problem(spec, rep_seed)
+    else:
+        gen = generate_task1 if spec.task == "task1" else generate_task2
+        problem = gen(n=spec.n, m=spec.m, seed=rep_seed)
     oracle = _maybe_noisy(problem.oracle(), spec, rep_seed + 1)
     return problem, oracle, None if quadratic else problem.feasible
-
-
-def _working_levels(spec: ExperimentSpec) -> tuple:
-    """(delta0, Delta0) for algo1 and algo2: the configured working
-    constants, or the injected noise levels where those are unset (zero).
-    Starting at zero under injected noise, the acceptance test can fail at
-    every L once the steps are short."""
-    return (
-        spec.delta0 if spec.delta0 > 0 else spec.delta,
-        spec.Delta0 if spec.Delta0 > 0 else spec.Delta,
-    )
 
 
 def _solve(spec: ExperimentSpec, oracle, feasible, frozen: bool = False):
     """Run the configured solver; returns its trace.
     ``frozen`` freezes algo2's gradient-error estimate at its start value."""
     N = max(spec.iteration_grid)
-    delta0, Delta0 = _working_levels(spec)
+    # algo1 and algo2 start at the injected noise levels where delta0 and
+    # Delta0 are unset (zero): starting at zero under injected noise, the
+    # acceptance test can fail at every L once the steps are short
+    delta0 = spec.delta0 if spec.delta0 > 0 else spec.delta
+    Delta0 = spec.Delta0 if spec.Delta0 > 0 else spec.Delta
     if spec.solver == "algo2":
         cfg = PLConfig(
             x0=np.zeros(spec.n),
@@ -411,10 +391,13 @@ def _solve(spec: ExperimentSpec, oracle, feasible, frozen: bool = False):
     )
     if algo1:
         return convex_minimize(base, oracle, feasible)
+    # conservative kink budgets where Delta0 is unset: each distance term's
+    # subgradient jump is at most 1, doubled by the class-to-model conversion
+    kinks = 2.0 * spec.m if spec.task == "task1" else 2.0
     cfg = NonsmoothConfig(
         base=base,
         epsilon=spec.epsilon if spec.epsilon is not None else 0.05,
-        Delta_known=_nonsmooth_class_Delta(spec),
+        Delta_known=spec.Delta0 if spec.Delta0 > 0 else kinks,
     )
     return nonsmooth_minimize(cfg, oracle, feasible)[0]
 
@@ -427,20 +410,14 @@ def run_single(spec: ExperimentSpec, rep_seed: Optional[int] = None):
 
 
 def _at_grid(trace, grid, start: float, *series) -> list:
-    """Each per-step array of ``series``, then ``trace.elapsed_ms``, read at
-    step min(g, N_run) - 1 for each grid value g: one list per array.  An
-    empty run (algo2 at the noise floor from the start) reads ``start``
-    and 0 ms."""
-    if trace.N_run == 0:
-        return [[start] * len(grid)] * len(series) + [[0.0] * len(grid)]
-    ks = [min(g, trace.N_run) - 1 for g in grid]
-    return [[float(a[k]) for k in ks] for a in (*series, trace.elapsed_ms)]
-
-
-def _table(grid, est: np.ndarray, times: np.ndarray, aux: dict) -> ResultTable:
-    """The table of per-seed estimates ``est`` and times ``times``, each of
-    shape (replications, len(grid)), with the times' mean per grid value."""
-    return ResultTable(tuple(grid), tuple(times.mean(axis=0).tolist()), est, aux)
+    """Each per-step array of ``series``, then ``trace.elapsed_ms``, with its
+    start value prepended (``start``; 0 ms for the times) and read at index
+    min(g, N_run) for each grid value g: one list per array.  A run with no
+    step (algo2 at the noise floor from the start) reads its start values."""
+    ks = [min(g, trace.N_run) for g in grid]
+    starts = (start,) * len(series) + (0.0,)
+    arrays = (*series, trace.elapsed_ms)
+    return [np.concatenate(([s], a))[ks].tolist() for s, a in zip(starts, arrays)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -471,12 +448,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             f_hat_final.append(trace.f_final)
         est[r], gaps[r], times[r] = _at_grid(trace, grid, float(trace.f0 - lb), *series)
 
-    return _table(
-        grid,
-        est,
-        times,
-        {"per_seed_aux_gap": gaps, "per_seed_f_hat_final": f_hat_final, "seeds": seeds},
-    )
+    aux = {"per_seed_aux_gap": gaps, "per_seed_f_hat_final": f_hat_final, "seeds": seeds}
+    return ResultTable(grid, tuple(times.mean(axis=0).tolist()), est, aux)
 
 
 def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
@@ -514,19 +487,9 @@ def compare_adaptive_nonadaptive(spec: ExperimentSpec) -> ResultTable:
         gap0 = problem.value(np.zeros(spec.n)) - problem.f_star
         est[r], times[r] = _at_grid(tr_a, grid, gap0, np.cumprod(factors) * gap0)
 
-    return _table(
-        grid,
-        est,
-        times,
-        {
-            "adaptive_bound": a_bounds,
-            "nonadaptive_bound": na_bounds,
-            "adaptive_gap": a_gaps,
-            "nonadaptive_gap": na_gaps,
-            "factor_traces": factor_traces,
-            "seeds": seeds,
-        },
-    )
+    aux = {"adaptive_bound": a_bounds, "nonadaptive_bound": na_bounds, "adaptive_gap": a_gaps,
+           "nonadaptive_gap": na_gaps, "factor_traces": factor_traces, "seeds": seeds}
+    return ResultTable(grid, tuple(times.mean(axis=0).tolist()), est, aux)
 
 
 def finite_diff_check(oracle: ModelOracle, x: Vector, h: float = 1e-6) -> float:

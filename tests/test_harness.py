@@ -319,6 +319,20 @@ class TestRunners:
         for name in ("f_values", "L_hist", "Delta_hist", "step_norms", "cert_hist", "x_hat"):
             np.testing.assert_array_equal(getattr(trace, name), getattr(want, name), name)
 
+    def test_empty_runs_read_their_start_at_every_grid_value(self):
+        # Delta far above every gradient: algo2 stops at the noise floor
+        # before its first step, so no run has a step to read
+        spec = ExperimentSpec(task="pl-quadratic", n=5, m=8, Delta=1e3, replications=2,
+                              iteration_grid=(3, 6))
+        assert run_single(spec).N_run == 0
+        quadratics = [harness._quadratic_problem(spec, s) for s in harness._rep_seeds(spec)]
+        gaps = [[q.value(np.zeros(5)) - q.f_star] * 2 for q in quadratics]
+        table, paired = run_experiment(spec), compare_adaptive_nonadaptive(spec)
+        for t in (table, paired):
+            assert t.per_seed_estimates.tolist() == gaps
+            assert t.mean_time_ms == (0.0, 0.0)
+        assert paired.aux["adaptive_bound"] == paired.aux["nonadaptive_bound"] == [1.0, 1.0]
+
     def test_compare_requires_algo2(self):
         spec = ExperimentSpec(task="task1", n=6, m=3)
         with pytest.raises(ValueError):
