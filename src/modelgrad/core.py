@@ -13,6 +13,7 @@ the adaptive loops themselves).  The solvers carry the accepted trial's
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -279,10 +280,10 @@ def _check_run(config) -> None:
         raise ValueError("L0 must be positive and finite")
     if not (0 <= config.delta0 < math.inf and 0 <= config.Delta0 < math.inf):
         raise ValueError("delta0 and Delta0 must be nonnegative and finite")
-    if config.N < 1:
-        raise ValueError("N must be at least 1")
-    if config.max_inner_per_iter < 1:
-        raise ValueError("max_inner_per_iter must be at least 1")
+    for name in ("N", "max_inner_per_iter"):
+        value = getattr(config, name)
+        if type(value) is bool or not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _trial(oracle, x_k, anchor, g, x_next, k):

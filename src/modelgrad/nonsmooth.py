@@ -136,7 +136,8 @@ def nonsmooth_minimize(
     gets ``backtrack``'s ``NonTerminationError`` with the next (L, 0,
     Delta_known), whichever phase ran out: the error does not say whether
     phase 1 ever passed.  A phase 2 that ``L_class`` lifted can run ahead
-    of ``backtrack``'s L and reach inf first; it raises the error then.
+    of ``backtrack``'s L and reach inf first; it raises the error then,
+    before forming a trial there, with the trials it evaluated.
     """
     if oracle.known_delta != 0:
         raise ValueError("the restarted method requires exact objective values")
@@ -161,6 +162,8 @@ def nonsmooth_minimize(
             nonlocal p, L2
             if L2 is not None:
                 L = L2
+                if L == math.inf:  # no trial at x itself: the caller raises
+                    return None, None, None, None, L
             x_next = model_step(oracle, feasible, x, L, g)
             trial, psi, sq, step = _trial(oracle, x, anchor, g, x_next, k)
             if L2 is None:
@@ -180,9 +183,9 @@ def nonsmooth_minimize(
         (x_next, trial, Delta, step, L), _, _, _, trials = backtrack(
             attempt, triple, Delta_fixed, Delta_fixed, cap, k
         )
-        if L == math.inf:  # the step, x itself, has weight 1/L = 0: S could stay 0
+        if L == math.inf:  # the step would be x itself, at weight 1/L = 0
             msg = f"restart phase 2 doubled L to inf at iteration {k}"
-            raise NonTerminationError(msg, k, (L, 0.0, Delta_fixed), trials)
+            raise NonTerminationError(msg, k, (L, 0.0, Delta_fixed), trials - 1)
         return x_next, trial, L, 0.0, Delta, step, trials, p
 
     trace = _run(config.base, oracle, feasible, restart)

@@ -28,6 +28,7 @@ from .core import (
     UnsupportedCombinationError,
     Vector,
     aligned_empty,
+    all_finite,
     as_vector,
     norm,
 )
@@ -245,6 +246,8 @@ def pl_quadratic_make(A, b) -> PLQuadratic:
         raise ValueError("A must be 2-D with rows matching b")
     A = aligned_empty(matrix.shape)
     A[...] = matrix
+    if not np.isfinite(A).all():
+        raise ValueError("A must be finite")
     A.setflags(write=False)
     b.setflags(write=False)
     x_star, _, _, s = np.linalg.lstsq(A, b, rcond=None)
@@ -259,12 +262,16 @@ def pl_quadratic_make(A, b) -> PLQuadratic:
 
 
 def _unit(direction) -> Vector:
-    """``direction`` scaled to unit norm; a zero direction is refused."""
+    """``direction`` scaled to unit norm; a zero direction is refused.  A
+    direction whose sum of squares underflows or overflows is first divided
+    by its largest magnitude, so that its norm is not rounded away."""
     d = as_vector(direction)
-    nrm = float(np.linalg.norm(d))
-    if not (nrm > 0 and math.isfinite(nrm)):
-        raise ValueError("direction must be nonzero with a finite norm")
-    return d / nrm
+    if not np.finfo(np.float64).tiny <= np.vdot(d, d) < math.inf:
+        largest = np.abs(d).max(initial=0.0)
+        if largest == 0.0:
+            raise ValueError("direction must be nonzero")
+        d = d / largest
+    return d / norm(d)
 
 
 class NoisyOracle(ModelOracle):
@@ -280,7 +287,10 @@ class NoisyOracle(ModelOracle):
     accumulates accordingly; so does the value gap, ``known_delta``, which
     is unknown (None) when the wrapped oracle's is.  The adversarial mode's
     ``direction`` is scaled to unit norm (drawn at random when omitted); a
-    point of another length raises ``DimensionMismatchError``.
+    point of another length raises ``DimensionMismatchError``.  A NaN or
+    infinite gradient of the wrapped oracle is returned perturbed, so the
+    solver refuses it with ``NonFiniteOracleError`` (an infinite one after
+    numpy's invalid-value warning from measuring the perturbation).
     """
 
     MODES = ("random-sphere", "adversarial-fixed-direction")
@@ -335,7 +345,8 @@ class NoisyOracle(ModelOracle):
             scale = self.Delta * self._rng.random()
         g_noisy = g + scale * u
         err = norm(g_noisy - g)
-        if not self.within_envelope(err, g_noisy):
+        # a non-finite g passes, for the solver's gradient check to name it
+        if not self.within_envelope(err, g_noisy) and all_finite(g):
             raise ValueError(
                 f"gradient perturbation of norm {err!r} leaves the envelope "
                 f"Delta = {self.Delta!r}"

@@ -483,6 +483,38 @@ def test_parameters_outside_their_range_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ConvexConfig(x0=np.ones(2), R=-1.0),
+        lambda: ConvexConfig(x0=np.ones(2), epsilon=0.0),
+        lambda: ConvexConfig(x0=np.ones(2), max_inner_per_iter=0),
+        lambda: PLConfig(x0=np.ones(2), max_inner_per_iter=0),
+    ],
+    ids=["convex-R-negative", "convex-epsilon-zero", "convex-cap-zero", "pl-cap-zero"],
+)
+def test_configs_refuse_values_outside_their_range(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# N = 2.5 used to run until the recorder's range(N) raised TypeError, and
+# N = True ran one step
+@pytest.mark.parametrize("config", [ConvexConfig, PLConfig])
+@pytest.mark.parametrize("name, value", [("N", 2.5), ("N", True), ("N", "3"),
+                                         ("max_inner_per_iter", 2.5),
+                                         ("max_inner_per_iter", False)])
+def test_counts_must_be_integers(config, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value!r}$"):
+        config(x0=np.ones(2), **{name: value})
+
+
+@pytest.mark.parametrize("config", [ConvexConfig, PLConfig])
+def test_numpy_integer_counts_are_accepted(config):
+    cfg = config(x0=np.ones(2), N=np.int64(3), max_inner_per_iter=np.int32(5))
+    assert (cfg.N, cfg.max_inner_per_iter) == (3, 5)
+
+
 def _modules_with_exports():
     modules = [modelgrad]
     for info in pkgutil.iter_modules(modelgrad.__path__):

@@ -82,6 +82,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(task="task1", mode="gaussian")
 
+    def test_grid_entry_below_one_refused(self):
+        with pytest.raises(ValueError, match="entries must be positive"):
+            ExperimentSpec(task="task1", iteration_grid=(0, 5))
+
     # each of these runs exactly as it would without the field
     @pytest.mark.parametrize(
         "kw, message",
@@ -262,6 +266,19 @@ class TestCSV:
         first = lines[1].split(",")
         assert int(first[0]) == 10
         assert float(first[1]) == table.mean_estimate[0]
+
+
+    def test_refuses_an_object_that_is_neither_trace_nor_table(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize dict"):
+            write_csv({"iters": (1,)}, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "out.cfg"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            write_config(ExperimentSpec(task="task1"), target)
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestRunners:

@@ -232,6 +232,26 @@ class TestNonsmoothMinimize:
         assert info.value.triple[0] == math.inf
         assert info.value.partial_trace.N_run == 0
 
+    def test_phase_2_makes_no_trial_at_L_inf(self):
+        # the repro above: x0 and the trials at L0/2 and L_class are
+        # evaluated; the next L2 is inf, where the run used to evaluate x0 again
+        c = 1e300
+        points = []
+
+        def value(x):
+            points.append(x.copy())
+            return c * float(np.abs(x).sum())
+
+        oracle = FunctionOracle(value, lambda x: c * np.sign(x))
+        base = ConvexConfig(x0=np.array([1e-9]), L0=1e300, N=1, R=0.7)
+        config = NonsmoothConfig(base=base, epsilon=1e-10, Delta_known=2e300, L_class=1.7e308)
+        with pytest.raises(NonTerminationError, match="to inf") as info:
+            nonsmooth_minimize(config, oracle, WHOLE)
+        assert len(points) == 3
+        assert info.value.inner_calls == 2
+        assert info.value.triple == (math.inf, 0.0, 2e300)
+        assert info.value.partial_trace.N_run == 0
+
     def test_failure_keeps_the_audit_of_the_steps_before(self):
         # the restart runs out of its 4 trials at iteration 6; the partial
         # trace's p_hist is the p_used of the same run stopped at N = 6

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from modelgrad.convex import ConvexConfig, convex_minimize
 from modelgrad.core import (
     DimensionMismatchError,
     FeasibleSet,
     FunctionOracle,
+    NonFiniteOracleError,
     UnsupportedCombinationError,
     norm,
 )
@@ -197,6 +199,20 @@ class TestPLQuadratic:
             with pytest.raises(ValueError, match="identically zero"):
                 pl_quadratic_make(np.zeros(shape), np.ones(shape[0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_refused_before_lstsq(self, bad, capfd):
+        # lstsq used to print OpenBLAS's DLASCL parameter error to stderr,
+        # then raise LinAlgError on an inf, and ran for minutes on a NaN
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="A must be finite"):
+            pl_quadratic_make(A, np.ones(3))
+        assert capfd.readouterr().err == ""
+
+    def test_rows_must_match_b(self):
+        with pytest.raises(ValueError, match="rows matching b"):
+            pl_quadratic_make(np.ones((3, 2)), np.ones(4))
+
     def test_f_star_zero_on_consistent_system(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((6, 4))
@@ -323,6 +339,24 @@ class TestNoisyOracle:
         x = np.ones(4)
         err = noisy.evaluate(x).gradient() - prob.gradient(x)
         np.testing.assert_allclose(err, [0.1, 0.0, 0.0, 0.0], rtol=1e-12, atol=1e-15)
+
+    def test_tiny_direction_is_normalised(self):
+        # 2.6e-162 squared underflows: its norm used to read 1.1697 times too
+        # small, and every gradient query then left the envelope
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy())
+        noisy = NoisyOracle(oracle, Delta=0.1, mode="adversarial-fixed-direction",
+                            direction=[2.6e-162])
+        assert noisy._direction.tolist() == [1.0]
+        assert noisy.evaluate(np.ones(1)).gradient().tolist() == [1.1]
+
+    @pytest.mark.parametrize("mode", NoisyOracle.MODES)
+    def test_nan_gradient_reaches_the_solver_check(self, mode):
+        # the envelope check used to see the NaN first and misreport it
+        oracle = FunctionOracle(lambda x: 0.5 * float(x @ x), lambda x: np.array([np.nan, 1.0]))
+        noisy = NoisyOracle(oracle, Delta=0.1, mode=mode)
+        with pytest.raises(NonFiniteOracleError) as info:
+            convex_minimize(ConvexConfig(x0=np.ones(2), N=3), noisy, FeasibleSet.whole_space())
+        assert (info.value.quantity, info.value.iteration) == ("gradient", 0)
 
     def test_bad_directions_refused(self):
         prob = self._base()
