@@ -498,8 +498,8 @@ def test_configs_refuse_values_outside_their_range(call):
         call()
 
 
-# N = 2.5 used to run until the recorder's range(N) raised TypeError, and
-# N = True ran one step
+# N = 2.5 used to run until the solver loop's range(N) raised TypeError,
+# and N = True ran one step
 @pytest.mark.parametrize("config", [ConvexConfig, PLConfig])
 @pytest.mark.parametrize("name, value", [("N", 2.5), ("N", True), ("N", "3"),
                                          ("max_inner_per_iter", 2.5),

@@ -267,7 +267,6 @@ class TestCSV:
         assert int(first[0]) == 10
         assert float(first[1]) == table.mean_estimate[0]
 
-
     def test_refuses_an_object_that_is_neither_trace_nor_table(self, tmp_path):
         with pytest.raises(TypeError, match="cannot serialize dict"):
             write_csv({"iters": (1,)}, tmp_path / "out.csv")
